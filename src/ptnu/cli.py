@@ -7,10 +7,13 @@ carry the same formatted values and diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError, PtnuError
+import numpy as np
+
+from .errors import ConfigError, NonFinite, PtnuError
 from .oracle import discretize, lowest_eigenvalues, richardson
 from .poschl_teller import (
     PtPotential,
@@ -40,14 +43,14 @@ class RunConfig:
     precision: int = 8
 
     def validate(self) -> "RunConfig":
-        if not (self.m > 0 and self.v1 > 0 and self.v2 > 0):
-            raise ConfigError(f"m, v1, v2 must be positive, got {self.m}, {self.v1}, {self.v2}")
-        if not self.alphas or any(a <= 0 for a in self.alphas):
-            raise ConfigError(f"alphas must be a non-empty list of positive values, got {self.alphas}")
+        if not all(0 < v < math.inf for v in (self.m, self.v1, self.v2)):
+            raise ConfigError(f"m, v1, v2 must be finite and positive, got {self.m}, {self.v1}, {self.v2}")
+        if not self.alphas or not all(0 < a < math.inf for a in self.alphas):
+            raise ConfigError(f"alphas must be a non-empty list of finite positive values, got {self.alphas}")
         if self.n_max < 0:
             raise ConfigError(f"nmax must be >= 0, got {self.n_max}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
         if not (1 <= self.precision <= 17):
@@ -55,12 +58,18 @@ class RunConfig:
         return self
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise NonFinite(f"result {value} is not finite; the inputs are out of floating-point range")
+    return value
+
+
 def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}f}"
+    return f"{_finite(value):.{precision}f}"
 
 
 def _fmt_dev(value: float, precision: int) -> str:
-    return f"{value:.{precision}e}"
+    return f"{_finite(value):.{precision}e}"
 
 
 def _emit(out, header: list[str], rows: list[list], fmt: str) -> None:
@@ -127,13 +136,10 @@ def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
         raise ConfigError(f"need points >= 2, got {points}")
     p = PtPotential(config.m, config.v1, config.v2, config.alphas[0])
     _, r_fn = normalized_wavefunction(p, n)
-    rows = []
-    for j in range(points):
-        r = p.r_max * (j + 1) / (points + 1)
-        radial = float(r_fn(r))
-        rows.append([_fmt(r, config.precision),
-                     _fmt(radial / r, config.precision),
-                     _fmt(radial, config.precision)])
+    r = p.r_max * np.arange(1, points + 1) / (points + 1)
+    radial = r_fn(r)
+    rows = [[_fmt(x, config.precision), _fmt(y / x, config.precision), _fmt(y, config.precision)]
+            for x, y in zip(r.tolist(), radial.tolist())]
     _emit(out, ["r", "R_over_r", "R"], rows, config.format)
     return 0
 
@@ -305,9 +311,6 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config)
         return cmd_limit(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PtnuError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

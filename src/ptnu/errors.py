@@ -19,11 +19,7 @@ class NonConvergence(PtnuError):
 
 
 class ZeroA3(PtnuError):
-    """Operation requires a3 > 0; use the exponential-limit form instead."""
-
-
-class NonzeroA3(PtnuError):
-    """Operation requires a3 = 0 (the Laguerre limit)."""
+    """Operation requires a3 > 0."""
 
 
 class DomainError(PtnuError, ValueError):
@@ -36,10 +32,6 @@ class InvalidIndex(PtnuError, ValueError):
 
 class NonFinite(PtnuError):
     """A NaN or infinity appeared where a finite value was required."""
-
-
-class QuadratureFailure(PtnuError):
-    """Normalization integral could not be evaluated."""
 
 
 class GridTooSmall(PtnuError, ValueError):

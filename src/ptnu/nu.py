@@ -12,7 +12,7 @@ the eigenfunction factors
 
     psi(s) = s^p1 * (1 - a3*s)^p2 * P_n^(ja, jb)(1 - 2*a3*s)
 
-with the a3 -> 0 exponential/Laguerre limit handled separately.
+for a3 > 0.
 
 Two admissible sign choices exist for the auxiliary constant k; they give
 distinct constant sets and solution families, selected here by `Branch`.
@@ -24,15 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .errors import (
-    DomainError,
-    NegativeDiscriminant,
-    NonConvergence,
-    NonzeroA3,
-    NoSignChange,
-    ZeroA3,
-)
-from .special_functions import jacobi, laguerre
+import numpy as np
+
+from .errors import DomainError, NegativeDiscriminant, NonConvergence, NoSignChange, ZeroA3
+from .special_functions import jacobi
 
 
 class Branch(Enum):
@@ -59,7 +54,7 @@ class NuCoefficients:
         if not all(math.isfinite(v) for v in values):
             raise DomainError(f"coefficients must be finite, got {values}")
         if self.a3 < 0.0:
-            raise DomainError(f"a3 must be >= 0 (a3 = 0 selects the Laguerre limit), got {self.a3}")
+            raise DomainError(f"a3 must be >= 0, got {self.a3}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +249,7 @@ def eigenfunction_factors(d: NuDerived) -> tuple[float, float, float, float]:
     """Exponents and Jacobi indices (p1, p2, ja, jb) of the solution factors."""
     a3 = d.coeffs.a3
     if a3 <= 0.0:
-        raise ZeroA3("eigenfunction factors need a3 > 0; use the limit form")
+        raise ZeroA3("eigenfunction factors need a3 > 0")
     p1 = d.a12
     p2 = -d.a12 - d.a13 / a3
     ja = d.a10 - 1.0
@@ -262,22 +257,22 @@ def eigenfunction_factors(d: NuDerived) -> tuple[float, float, float, float]:
     return p1, p2, ja, jb
 
 
-def evaluate_eigenfunction(d: NuDerived, n: int, s: float) -> float:
-    """Unnormalized psi(s) = s^p1 (1-a3*s)^p2 P_n^(ja,jb)(1-2*a3*s)."""
+def evaluate_eigenfunction(d: NuDerived, n: int, s, log_scale: float):
+    """exp(log_scale) * psi(s), psi(s) = s^p1 (1-a3*s)^p2 P_n^(ja,jb)(1-2*a3*s).
+
+    Accepts scalar or ndarray s in (0, 1/a3).  The factors are combined as
+    sign(P) * exp(log_scale + p1*log(s) + p2*log1p(-a3*s) + log|P|), so a
+    power that alone would over- or underflow is offset by log_scale.
+    """
     p1, p2, ja, jb = eigenfunction_factors(d)
     a3 = d.coeffs.a3
-    if not (0.0 < s < 1.0 / a3):
-        raise DomainError(f"s={s} outside (0, {1.0 / a3})")
-    value = s ** p1 * (1.0 - a3 * s) ** p2 * jacobi(n, ja, jb, 1.0 - 2.0 * a3 * s)
-    if not math.isfinite(value):
-        raise DomainError(f"eigenfunction overflow at s={s}")
-    return value
-
-
-def evaluate_eigenfunction_limit(d: NuDerived, n: int, s: float) -> float:
-    """a3 = 0 limit: psi(s) = s^a12 e^(a13*s) L_n^(a10-1)(a11*s)."""
-    if d.coeffs.a3 != 0.0:
-        raise NonzeroA3(f"limit form needs a3 = 0, got {d.coeffs.a3}")
-    if s <= 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-    return s ** d.a12 * math.exp(d.a13 * s) * laguerre(n, d.a10 - 1.0, d.a11 * s)
+    s_arr = np.asarray(s, dtype=float)
+    if not np.all((s_arr > 0.0) & (s_arr < 1.0 / a3)):
+        raise DomainError(f"s outside (0, {1.0 / a3})")
+    poly = jacobi(n, ja, jb, 1.0 - 2.0 * a3 * s_arr)
+    with np.errstate(divide="ignore"):
+        log_value = log_scale + p1 * np.log(s_arr) + p2 * np.log1p(-a3 * s_arr) + np.log(np.abs(poly))
+    value = np.sign(poly) * np.exp(log_value)
+    if not np.all(np.isfinite(value)):
+        raise DomainError("eigenfunction overflow")
+    return value if value.ndim else float(value)

@@ -18,16 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonFinite, QuadratureFailure
-from .nu import Branch, SpectralFamily, derive_constants, eigenfunction_factors, solve_energy
-from .special_functions import integrate, jacobi
+from .errors import DomainError
+from .nu import (Branch, NuDerived, SpectralFamily, derive_constants, eigenfunction_factors,
+                 evaluate_eigenfunction, solve_energy)
+from .special_functions import jacobi_log_norm
 
 
 @dataclass(frozen=True)
 class PtPotential:
     """Physical parameters: mass m, well depths v1 and v2, range alpha.
 
-    All in fm^-1 and strictly positive; the well spans (0, pi/(2*alpha)).
+    All in fm^-1, finite and strictly positive; the well spans (0, pi/(2*alpha)).
     """
 
     m: float
@@ -36,9 +37,9 @@ class PtPotential:
     alpha: float
 
     def __post_init__(self):
-        if not (self.m > 0.0 and self.v1 > 0.0 and self.v2 > 0.0 and self.alpha > 0.0):
+        if not all(0.0 < v < math.inf for v in (self.m, self.v1, self.v2, self.alpha)):
             raise DomainError(
-                f"need m, v1, v2, alpha all > 0, got m={self.m}, v1={self.v1}, "
+                f"need m, v1, v2, alpha all finite and > 0, got m={self.m}, v1={self.v1}, "
                 f"v2={self.v2}, alpha={self.alpha}")
 
     @property
@@ -132,18 +133,34 @@ def energy_via_nu(p: PtPotential, n: int, tol_rel: float = 1e-12) -> float:
     return eps / (2.0 * p.m)
 
 
-def radial_wavefunction(p: PtPotential, n: int):
-    """Unnormalized R_n(r) as a callable of r (scalar or ndarray).
+# sin^2(ar) rounds to 0 within about 1e-154/a of r = 0 and to 1 within
+# about 1e-8/a of r_max.  Holding s strictly inside (0, 1) there changes
+# only values below about 1e-8 of the envelope peak (p1, p2 > 1/2).
+_S_RANGE = (np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
 
-    R_n(r) = (sin ar)^(2*p1) (cos ar)^(2*p2) P_n^(ja,jb)(cos 2ar), with
-    the exponents and Jacobi indices taken from the template pipeline at
-    the closed-form energy.  Vanishes at both ends of the well.
-    """
+
+def _eigenfunction(p: PtPotential, n: int) -> tuple[NuDerived, float]:
+    """Template constants at the closed-form level n, and the log scale
+    -max_s[p1*log(s) + p2*log(1-s)] that puts the peak of the envelope
+    s^p1 (1-s)^p2 at 1; the maximum sits at s = p1/(p1+p2)."""
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
     eps = 2.0 * p.m * energy_closed_form(p, n)
     d = derive_constants(to_nu_family(p).coefficients(eps))
-    p1, p2, ja, jb = eigenfunction_factors(d)
+    p1, p2, _, _ = eigenfunction_factors(d)
+    log_scale = -(p1 * math.log(p1 / (p1 + p2)) + p2 * math.log(p2 / (p1 + p2)))
+    return d, log_scale
+
+
+def radial_wavefunction(p: PtPotential, n: int):
+    """Unnormalized R_n(r) as a callable of r (scalar or ndarray).
+
+    R_n(r) = C (sin ar)^(2*p1) (cos ar)^(2*p2) P_n^(ja,jb)(cos 2ar), with
+    the exponents and Jacobi indices taken from the template pipeline at
+    the closed-form energy, and the constant C chosen so that the
+    sine-cosine envelope peaks at 1.  Vanishes at both ends of the well.
+    """
+    d, log_scale = _eigenfunction(p, n)
     alpha = p.alpha
     r_max = p.r_max
 
@@ -151,33 +168,30 @@ def radial_wavefunction(p: PtPotential, n: int):
         r_arr = np.asarray(r, dtype=float)
         if np.any(r_arr <= 0.0) or np.any(r_arr >= r_max):
             raise DomainError(f"r outside the well (0, {r_max})")
-        sin_ar = np.sin(alpha * r_arr)
-        cos_ar = np.cos(alpha * r_arr)
-        value = (sin_ar ** (2.0 * p1) * cos_ar ** (2.0 * p2)
-                 * jacobi(n, ja, jb, np.cos(2.0 * alpha * r_arr)))
-        return value if np.ndim(r) else float(value)
+        s = np.clip(np.sin(alpha * r_arr) ** 2, *_S_RANGE)
+        return evaluate_eigenfunction(d, n, s, log_scale)
 
     return wavefunction
 
 
-def normalize(p: PtPotential, n: int, panels: int = 48) -> BoundState:
-    """Bound state with norm fixed so that the L2 norm of norm*R_n is 1."""
+def normalize(p: PtPotential, n: int) -> BoundState:
+    """Bound state with norm fixed so that the L2 norm of norm*R_n is 1.
+
+    Under x = cos 2ar the integral of R_n^2 over the well becomes the
+    Jacobi weight integral with exponents 2*p1 - 1/2 = ja and
+    2*p2 - 1/2 = jb, so it equals C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb).
+    """
+    d, log_scale = _eigenfunction(p, n)
+    p1, p2, ja, jb = eigenfunction_factors(d)
+    log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * math.log(2.0)
+                    - math.log(2.0 * p.alpha) + jacobi_log_norm(n, ja, jb))
     energy = energy_closed_form(p, n)
-    r_fn = radial_wavefunction(p, n)
-    try:
-        value, err = integrate(lambda r: r_fn(r) ** 2, 0.0, p.r_max, panels, graded=True)
-    except NonFinite as exc:
-        raise QuadratureFailure(f"normalization integrand not finite: {exc}") from exc
-    if not (value > 0.0 and math.isfinite(value)):
-        raise QuadratureFailure(f"normalization integral degenerate: {value}")
-    if err > 1e-8 * value:
-        raise QuadratureFailure(f"normalization error estimate {err} too large for {value}")
-    return BoundState(n=n, energy=energy, eps=2.0 * p.m * energy, norm=1.0 / math.sqrt(value))
+    return BoundState(n=n, energy=energy, eps=2.0 * p.m * energy, norm=math.exp(-0.5 * log_integral))
 
 
-def normalized_wavefunction(p: PtPotential, n: int, panels: int = 48):
+def normalized_wavefunction(p: PtPotential, n: int):
     """(BoundState, callable) pair with the unit-norm radial function."""
-    state = normalize(p, n, panels)
+    state = normalize(p, n)
     r_fn = radial_wavefunction(p, n)
     scale = state.norm
     return state, lambda r: scale * r_fn(r)

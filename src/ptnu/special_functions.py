@@ -1,7 +1,8 @@
-"""Jacobi and associated Laguerre polynomials plus composite Gauss quadrature.
+"""Jacobi polynomials and their norms, plus composite Gauss quadrature.
 
-Production evaluation goes through the three-term recurrences; the explicit
-finite-sum forms are kept as independent small-n oracles for testing.
+Production evaluation goes through the three-term recurrence; the explicit
+finite-sum form is kept as an independent small-n oracle for testing, and
+the quadrature as an independent certifier of integrals.
 """
 from __future__ import annotations
 
@@ -42,6 +43,25 @@ def jacobi(n: int, a: float, b: float, x):
     return p if p.ndim else float(p)
 
 
+def jacobi_log_norm(n: int, a: float, b: float) -> float:
+    """log h_n, where h_n is the integral of (1-x)^a (1+x)^b P_n^{(a,b)}(x)^2
+    over [-1, 1]:
+
+        h_n = 2^(a+b+1) G(n+a+1) G(n+b+1) / ((2n+a+b+1) G(n+a+b+1) n!)
+
+    computed from log-gamma values, so it stays finite for large indices.
+    """
+    if n < 0:
+        raise InvalidIndex(f"polynomial degree must be >= 0, got {n}")
+    if a <= -1.0 or b <= -1.0:
+        raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
+    c = a + b + 1.0
+    # (2n+c) G(n+c) reduces to G(c+1) at n = 0, which also covers c = 0
+    tail = math.lgamma(c + 1.0) if n == 0 else math.log(2.0 * n + c) + math.lgamma(n + c)
+    return (c * math.log(2.0) + math.lgamma(n + a + 1.0) + math.lgamma(n + b + 1.0)
+            - math.lgamma(n + 1.0) - tail)
+
+
 def _binom_product(r: np.longdouble, k: int) -> np.longdouble:
     """C(r, k) as the product prod_j (r - k + j) / j, kept in extended
     precision for the oracle sums (k stays small, so no overflow)."""
@@ -79,37 +99,6 @@ def _signed_pow(base: float, p: int) -> float:
     if p == 0:
         return 1.0
     return base ** p
-
-
-def laguerre(n: int, a: float, x):
-    """Associated Laguerre L_n^{(a)}(x) by the three-term recurrence in n."""
-    if n < 0:
-        raise InvalidIndex(f"polynomial degree must be >= 0, got {n}")
-    if a <= -1.0:
-        raise InvalidIndex(f"Laguerre parameter must exceed -1, got a={a}")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = 1.0 + a - x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2.0 * k - 1.0 + a - x) * p - (k - 1.0 + a) * p_prev) / k
-    return p if p.ndim else float(p)
-
-
-def laguerre_sum(n: int, a: float, x: float) -> float:
-    """Explicit finite-sum form of L_n^{(a)}(x); test oracle only."""
-    if n < 0 or n > 20:
-        raise InvalidIndex(f"finite-sum oracle limited to 0 <= n <= 20, got {n}")
-    if a <= -1.0:
-        raise InvalidIndex(f"Laguerre parameter must exceed -1, got a={a}")
-    a_l = np.longdouble(a)
-    x_l = np.longdouble(x)
-    total = np.longdouble(0.0)
-    for k in range(n + 1):
-        total += ((-1.0) ** k * _binom_product(n + a_l, n - k)
-                  * _signed_pow(x_l, k) / math.factorial(k))
-    return float(total)
 
 
 @dataclass(frozen=True)

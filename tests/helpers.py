@@ -1,7 +1,7 @@
 """Shared fixtures: published spectrum strings and small numeric utilities."""
 import numpy as np
 
-from ptnu import PtPotential
+from ptnu import PtPotential, integrate
 
 # Bound-state levels E_n (fm^-1) for m=10, V1=5, V2=3 as published, one
 # column string per alpha.  The n=3, alpha=0.8 entry is printed with only
@@ -45,3 +45,20 @@ def matches_printed(value: float, printed: str) -> bool:
     if mine == printed:
         return True
     return abs(int(mine.replace(".", "")) - int(printed.replace(".", ""))) == 1
+
+
+def norm_by_quadrature(r_fn, r_max: float) -> float:
+    """Integral of r_fn^2 over the well (0, r_max), independent of any
+    closed-form norm.
+
+    A uniform scan locates the window where |r_fn| exceeds 1e-10 of its
+    peak; uniform Gauss-Legendre panels then cover that window widened by
+    one scan step on each side.  Outside it the state is negligible, and
+    the panels stay fine where the state lives even at small alpha.
+    """
+    edges = np.linspace(0.0, r_max, 20_001)
+    values = np.abs(r_fn(edges[1:-1]))
+    inside = np.flatnonzero(values >= 1e-10 * values.max())
+    # sample k sits at edges[k + 1]
+    lo, hi = edges[inside[0]], edges[inside[-1] + 2]
+    return integrate(lambda r: r_fn(r) ** 2, lo, hi, 64)[0]

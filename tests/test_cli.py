@@ -1,7 +1,9 @@
 import io
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,25 @@ def run_main(argv):
 def parse_table(text, sep=","):
     lines = text.strip().splitlines()
     return lines[0].split(sep), [line.split(sep) for line in lines[1:]]
+
+
+# --- byte-identical output ---------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("table2", ["table2"]),
+    ("limit", ["limit"]),
+    ("wavefunction", ["wavefunction"]),
+    ("wavefunction_n2_points400_alpha1.2",
+     ["wavefunction", "--n", "2", "--points", "400", "--alpha", "1.2"]),
+])
+def test_output_matches_golden(name, argv):
+    # golden files hold the stdout of the quadrature-normalized implementation
+    code, out, err = run_main(argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 # --- table2 ------------------------------------------------------------------
@@ -109,6 +130,13 @@ def test_wavefunction_boundary_decay():
     radial = np.abs([float(row[2]) for row in rows])
     assert radial[0] <= 1e-3 * radial.max()
     assert radial[-1] <= 1e-3 * radial.max()
+
+
+def test_wavefunction_smallest_alpha():
+    code, out, err = run_main(["wavefunction", "--alpha", "0.002", "--n", "6", "--points", "1000"])
+    assert code == 0, err
+    _, rows = parse_table(out)
+    assert count_sign_changes([float(row[2]) for row in rows]) == 6
 
 
 def test_wavefunction_invalid_args():
@@ -225,9 +253,17 @@ def test_invalid_flags_exit_two():
                  ["table2", "--m", "-4"],
                  ["table2", "--alpha", "1.2,-0.5"],
                  ["table2", "--nmax", "-1"],
-                 ["limit", "--tol", "0"]):
-        code, _, err = run_main(argv)
+                 ["limit", "--tol", "0"],
+                 ["table2", "--m", "inf"],
+                 ["table2", "--v2", "nan"],
+                 ["limit", "--alpha", "inf", "--format", "json"],
+                 ["limit", "--tol", "inf"],
+                 # finite inputs whose results leave floating-point range
+                 ["table2", "--m", "1e308"],
+                 ["limit", "--v1", "1e308", "--v2", "1e308", "--format", "json"]):
+        code, out, err = run_main(argv)
         assert code == 2, argv
+        assert out == "", argv
         assert err.startswith("error:")
 
 
@@ -236,6 +272,10 @@ def test_run_config_validate_direct():
         RunConfig(format="xml").validate()
     with pytest.raises(ConfigError):
         RunConfig(precision=18).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(m=math.inf).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(alphas=(1.2, math.nan)).validate()
     assert RunConfig().validate() is not None
 
 

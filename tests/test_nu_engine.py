@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,9 +13,7 @@ from ptnu import (
     eigenfunction_factors,
     energy_closed_form,
     evaluate_eigenfunction,
-    evaluate_eigenfunction_limit,
     k_values,
-    laguerre_sum,
     quantization_residual,
     solve_energy,
     tau_prime,
@@ -24,7 +23,6 @@ from ptnu.errors import (
     DomainError,
     NegativeDiscriminant,
     NonConvergence,
-    NonzeroA3,
     NoSignChange,
     ZeroA3,
 )
@@ -304,8 +302,12 @@ def test_eigenfunction_ground_state_is_power_product():
     d = derive_constants(pt_coefficients())
     p1, p2, _, _ = eigenfunction_factors(d)
     rng = np.random.default_rng(9)
-    for s in rng.uniform(1e-6, 1.0 - 1e-6, 100):
-        assert evaluate_eigenfunction(d, 0, s) == s ** p1 * (1.0 - s) ** p2
+    samples = rng.uniform(1e-6, 1.0 - 1e-6, 100)
+    with mpmath.workdps(30):
+        expected = [float(mpmath.mpf(s) ** p1 * (1 - mpmath.mpf(s)) ** p2) for s in samples]
+    for s, value in zip(samples, expected):
+        assert evaluate_eigenfunction(d, 0, s, 0.0) == pytest.approx(value, rel=1e-14)
+    assert np.allclose(evaluate_eigenfunction(d, 0, samples, 0.0), expected, rtol=1e-14, atol=0.0)
 
 
 def test_eigenfunction_first_excited_at_midpoint():
@@ -313,45 +315,18 @@ def test_eigenfunction_first_excited_at_midpoint():
     p1, p2, ja, jb = eigenfunction_factors(d)
     # P_1^(a,b)(0) = (a - b)/2 from the explicit degree-1 form
     expected = 0.5 ** p1 * 0.5 ** p2 * (ja - jb) / 2.0
-    assert evaluate_eigenfunction(d, 1, 0.5) == pytest.approx(expected, rel=1e-14)
+    assert evaluate_eigenfunction(d, 1, 0.5, 0.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_eigenfunction_vanishes_at_origin():
     d = derive_constants(pt_coefficients())
-    assert abs(evaluate_eigenfunction(d, 0, 1e-9)) < 1e-30
+    assert abs(evaluate_eigenfunction(d, 0, 1e-9, 0.0)) < 1e-30
 
 
 def test_eigenfunction_domain_checks():
     d = derive_constants(pt_coefficients())
     for s in (0.0, -0.5, 1.0, 1.5):
         with pytest.raises(DomainError):
-            evaluate_eigenfunction(d, 0, s)
-
-
-def test_limit_form_ground_state():
-    c = NuCoefficients(0.5, 2.0, 0.0, 0.3, 0.7, 0.2)
-    d = derive_constants(c)
-    for s in (0.2, 1.0, 3.7):
-        assert evaluate_eigenfunction_limit(d, 0, s) == pytest.approx(
-            s ** d.a12 * math.exp(d.a13 * s), rel=1e-14)
-
-
-def test_limit_form_identity_when_exponents_vanish():
-    # a12 = 0 (a4 = x3 = 0) and a13 = 0 (a5 = 1, a9 = 1)
-    d = derive_constants(NuCoefficients(1.0, 2.0, 0.0, 0.0, 0.3, 0.0))
-    assert d.a12 == 0.0 and d.a13 == 0.0
-    assert evaluate_eigenfunction_limit(d, 0, 2.5) == 1.0
-
-
-def test_limit_form_against_laguerre_sum():
-    c = NuCoefficients(0.5, 2.0, 0.0, 0.3, 0.7, 0.2)
-    d = derive_constants(c)
-    for n, s in ((1, 0.4), (3, 1.3), (5, 2.2)):
-        expected = s ** d.a12 * math.exp(d.a13 * s) * laguerre_sum(n, d.a10 - 1.0, d.a11 * s)
-        assert evaluate_eigenfunction_limit(d, n, s) == pytest.approx(expected, rel=1e-12)
-
-
-def test_limit_form_rejects_nonzero_a3():
-    d = derive_constants(pt_coefficients())
-    with pytest.raises(NonzeroA3):
-        evaluate_eigenfunction_limit(d, 0, 0.5)
+            evaluate_eigenfunction(d, 0, s, 0.0)
+    with pytest.raises(DomainError):
+        evaluate_eigenfunction(d, 0, np.array([0.5, 1.0]), 0.0)

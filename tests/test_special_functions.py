@@ -10,9 +10,8 @@ from ptnu import (
     gauss_rule,
     integrate,
     jacobi,
+    jacobi_log_norm,
     jacobi_sum,
-    laguerre,
-    laguerre_sum,
 )
 from ptnu.errors import InvalidIndex, NonFinite
 
@@ -89,6 +88,18 @@ def test_jacobi_orthogonality_via_integrate():
                 off, _ = integrate(lambda x: weight(x) * jacobi(m, a, b, x) * jacobi(n, a, b, x),
                                    -1.0, 1.0, 48, graded=True)
                 assert abs(off) / math.sqrt(diagonal[m] * diagonal[n]) < 1e-8
+        for k in range(6):
+            assert diagonal[k] == pytest.approx(math.exp(jacobi_log_norm(k, a, b)), rel=1e-8)
+
+
+def test_jacobi_log_norm_classical_cases():
+    # Legendre: h_n = 2/(2n+1); a = b = -1/2: P_1 = x/2, so h_0 = pi and h_1 = pi/8
+    for n in range(8):
+        assert jacobi_log_norm(n, 0.0, 0.0) == pytest.approx(math.log(2.0 / (2 * n + 1)), abs=1e-14)
+    assert jacobi_log_norm(0, -0.5, -0.5) == pytest.approx(math.log(math.pi), abs=1e-14)
+    assert jacobi_log_norm(1, -0.5, -0.5) == pytest.approx(math.log(math.pi / 8.0), abs=1e-14)
+    # large indices stay finite where the gamma functions themselves overflow
+    assert math.isfinite(jacobi_log_norm(6, 3000.0, 2500.0))
 
 
 def test_jacobi_vectorized_matches_scalar():
@@ -105,29 +116,8 @@ def test_jacobi_invalid_index(n, a, b):
         jacobi(n, a, b, 0.1)
     with pytest.raises(InvalidIndex):
         jacobi_sum(n, a, b, 0.1)
-
-
-def test_laguerre_low_degrees():
-    assert laguerre(0, 1.3, 2.2) == 1.0
-    a, x = 0.7, 1.9
-    assert laguerre(1, a, x) == pytest.approx(1.0 + a - x, rel=1e-15)
-
-
-def test_laguerre_matches_sum():
-    assert laguerre(4, 2.5, 1.7) == pytest.approx(laguerre_sum(4, 2.5, 1.7), rel=1e-12)
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        n = int(rng.integers(0, 13))
-        a = rng.uniform(-0.9, 8.0)
-        x = rng.uniform(0.0, 12.0)
-        assert laguerre(n, a, x) == pytest.approx(laguerre_sum(n, a, x), rel=1e-9, abs=1e-10)
-
-
-def test_laguerre_invalid_index():
     with pytest.raises(InvalidIndex):
-        laguerre(3, -1.0, 1.0)
-    with pytest.raises(InvalidIndex):
-        laguerre_sum(25, 0.5, 1.0)
+        jacobi_log_norm(n, a, b)
 
 
 def test_integrate_constant_exact():
