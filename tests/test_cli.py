@@ -50,6 +50,21 @@ def test_output_matches_golden(name, argv):
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def test_default_verify_pins_closed_form_and_engine_columns():
+    # e_closed, e_nu and nu_dev are byte-identical to the golden columns;
+    # the oracle digits depend on the LAPACK build, so only their band is pinned
+    code, out, err = run_main(["verify"])
+    assert code == 0 and err == ""
+    header, rows = parse_table(out)
+    keep = [header.index(c) for c in ("n", "alpha", "e_closed", "e_nu", "nu_dev")]
+    pinned = "".join(",".join(r[i] for i in keep) + "\n" for r in [header] + rows)
+    assert pinned == (GOLDEN / "verify_closed_nu.txt").read_text(encoding="utf-8")
+    devs = [row[header.index("oracle_dev")] for row in rows]
+    populated = [float(d) for d in devs if d != "skipped"]
+    assert len(populated) == 21
+    assert max(populated) <= 1e-9
+
+
 # --- table2 ------------------------------------------------------------------
 
 def test_table2_default_grid():
@@ -260,7 +275,9 @@ def test_invalid_flags_exit_two():
                  ["limit", "--tol", "inf"],
                  # finite inputs whose results leave floating-point range
                  ["table2", "--m", "1e308"],
-                 ["limit", "--v1", "1e308", "--v2", "1e308", "--format", "json"]):
+                 ["limit", "--v1", "1e308", "--v2", "1e308", "--format", "json"],
+                 ["verify", "--alpha", "1.2", "--nmax", "0", "--m", "1e300", "--v1", "1e10",
+                  "--grid-points", "1000"]):
         code, out, err = run_main(argv)
         assert code == 2, argv
         assert out == "", argv
@@ -292,6 +309,14 @@ def test_commands_accept_explicit_streams():
 
 
 # --- binary contract ---------------------------------------------------------
+
+def test_cli_import_does_not_load_scipy():
+    # the oracle defers its scipy import, so table2/limit/wavefunction never pay for it
+    probe = "import sys, ptnu.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
 
 def test_module_entry_point_exit_codes():
     ok = subprocess.run([sys.executable, "-m", "ptnu", "table2", "--nmax", "0"],

@@ -1,10 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ptnu.oracle
 from helpers import count_sign_changes, reference_potential
 from ptnu import (
+    PtPotential,
     RadialOperator,
     converge_eigenvalue,
     discretize,
@@ -62,6 +66,11 @@ def test_discretize_rejects_small_grid():
         discretize(PT_REF, 99)
 
 
+def test_discretize_rejects_overflowing_potential():
+    with pytest.raises(NonFinite):
+        discretize(PtPotential(1e300, 1e10, 3.0, 1.2), 1000)
+
+
 # --- eigenvalue extraction ---------------------------------------------------
 
 def test_box_eigenvalues_match_discrete_closed_form():
@@ -98,6 +107,14 @@ def test_sturm_bisection_matches_dense_solver():
     expected = np.sort(np.linalg.eigvalsh(dense))[:6]
     values = lowest_eigenvalues(op, 6)
     np.testing.assert_allclose(values, expected, rtol=1e-10, atol=1e-10)
+
+
+def test_pt_eigenvalues_match_dense_solver():
+    op = discretize(PT_REF, 1201)
+    dense = np.diag(op.diag) + np.diag(np.full(1200, op.offdiag), 1) \
+        + np.diag(np.full(1200, op.offdiag), -1)
+    expected = np.linalg.eigvalsh(dense)[:7]
+    np.testing.assert_allclose(lowest_eigenvalues(op, 7), expected, rtol=1e-11, atol=0.0)
 
 
 def test_lowest_eigenvalues_count_bounds():
@@ -153,6 +170,14 @@ def test_box_eigenvector_modes():
         assert abs(abs(mode @ analytic) - 1.0) < 1e-8
 
 
+def test_eigenvector_at_decoupled_diagonal_entry():
+    # zero coupling: the eigenvalue equals a diagonal entry exactly
+    op = RadialOperator(n_points=200, h=1.0, diag=np.arange(200.0), offdiag=0.0,
+                        domain=(0.0, 1.0))
+    mode = eigenvector(op, 3.0)
+    assert np.argmax(np.abs(mode)) == 3 and mode[3] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_pt_eigenvector_oscillation():
     op = discretize(PT_REF, 1201)
     values = lowest_eigenvalues(op, 6)
@@ -190,3 +215,22 @@ def test_ode_residual_rejects_edge_samples():
         ode_residual(radial_wavefunction(p, 0), p, 1.0, [1e-5 * p.r_max])
     with pytest.raises(DomainError):
         ode_residual(radial_wavefunction(p, 0), p, 1.0, [])
+
+
+# --- independence ------------------------------------------------------------
+
+def test_oracle_imports_stay_independent():
+    # no path to the NU engine or the closed form, and scipy only inside functions
+    tree = ast.parse(Path(ptnu.oracle.__file__).read_text(encoding="utf-8"))
+    in_package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.startswith("ptnu")):
+            in_package.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert in_package == {"errors.DomainError", "errors.GridTooSmall", "errors.NonFinite",
+                          "poschl_teller.PtPotential"}
+    scipy_imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+                     or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")]
+    in_functions = {id(inner) for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                    for inner in ast.walk(node)}
+    assert scipy_imports and all(id(node) in in_functions for node in scipy_imports)
