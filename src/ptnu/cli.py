@@ -3,6 +3,8 @@ cross-verification sweeps, and the small-range limit scan.
 
 All numeric output is deterministic for a given configuration; csv/tsv/json
 carry the same formatted values and diagnostics go to stderr only.
+`table2` and `limit` need only the closed form: numpy is imported by the
+commands that sample arrays, and the oracle by `verify` alone.
 """
 from __future__ import annotations
 
@@ -11,10 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import ConfigError, NonFinite, PtnuError
-from .oracle import discretize, lowest_eigenvalues, richardson
 from .poschl_teller import (
     PtPotential,
     alpha_zero_limit,
@@ -128,6 +127,8 @@ def cmd_table2(config: RunConfig, out=None) -> int:
 def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
     """Sample the normalized state n of the first configured alpha:
     columns r, R/r (the radial factor of the full wavefunction), and R."""
+    import numpy as np
+
     out = out or sys.stdout
     config.validate()
     if not (0 <= n <= config.n_max):
@@ -151,6 +152,8 @@ def cmd_verify(config: RunConfig, out=None) -> int:
     are hopeless on the near-flat wells of smaller alpha); exit 1 when
     any populated deviation leaves its band.
     """
+    from .oracle import discretize, lowest_eigenvalues, richardson
+
     out = out or sys.stdout
     config.validate()
     if config.grid_points < 1000:

@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError, NegativeDiscriminant, NonConvergence, NoSignChange, ZeroA3
-from .special_functions import jacobi
+from .special_functions import jacobi_scaled
 
 
 class Branch(Enum):
@@ -63,7 +61,9 @@ class NuDerived:
 
     Under SECONDARY, a10..a13 hold the starred variants; a4..a9 are
     branch-independent. The source coefficients ride along because the
-    downstream formulas still need a2 and a3.
+    downstream formulas still need a2 and a3; so do s8 = sqrt(a8),
+    s9 = sqrt(a9), and sign, +1 under PRINCIPAL and -1 under SECONDARY:
+    the sign of every a3*s8 and sqrt(a8*a9) term.
     """
 
     coeffs: NuCoefficients
@@ -79,6 +79,9 @@ class NuDerived:
     a13: float
     k: float
     branch: Branch
+    s8: float
+    s9: float
+    sign: float
 
 
 def derive_constants(c: NuCoefficients, b: Branch = Branch.PRINCIPAL) -> NuDerived:
@@ -97,27 +100,18 @@ def derive_constants(c: NuCoefficients, b: Branch = Branch.PRINCIPAL) -> NuDeriv
         raise NegativeDiscriminant(f"need a8 >= 0 and a9 >= 0, got a8={a8}, a9={a9}")
     s8 = math.sqrt(a8)
     s9 = math.sqrt(a9)
-    root = 2.0 * math.sqrt(a8 * a9)
-    if b is Branch.PRINCIPAL:
-        k = -(a7 + 2.0 * c.a3 * a8) - root
-        a10 = c.a1 + 2.0 * a4 + 2.0 * s8
-        a11 = c.a2 - 2.0 * a5 + 2.0 * (s9 + c.a3 * s8)
-        a12 = a4 + s8
-        a13 = a5 - (s9 + c.a3 * s8)
-    else:
-        k = -(a7 + 2.0 * c.a3 * a8) + root
-        a10 = c.a1 + 2.0 * a4 - 2.0 * s8
-        a11 = c.a2 - 2.0 * a5 + 2.0 * (s9 - c.a3 * s8)
-        a12 = a4 - s8
-        a13 = a5 - (s9 - c.a3 * s8)
-    return NuDerived(c, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, k, b)
+    sign = 1.0 if b is Branch.PRINCIPAL else -1.0
+    k = -(a7 + 2.0 * c.a3 * a8) - sign * 2.0 * math.sqrt(a8 * a9)
+    a10 = c.a1 + 2.0 * a4 + sign * 2.0 * s8
+    a11 = c.a2 - 2.0 * a5 + 2.0 * (s9 + sign * c.a3 * s8)
+    a12 = a4 + sign * s8
+    a13 = a5 - (s9 + sign * c.a3 * s8)
+    return NuDerived(c, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, k, b, s8, s9, sign)
 
 
 def k_values(c: NuCoefficients) -> tuple[float, float]:
     """Both admissible k roots, (principal, secondary)."""
-    d = derive_constants(c)
-    k2 = -(d.a7 + 2.0 * c.a3 * d.a8) + 2.0 * math.sqrt(d.a8 * d.a9)
-    return d.k, k2
+    return derive_constants(c).k, derive_constants(c, Branch.SECONDARY).k
 
 
 def tau_prime(d: NuDerived) -> float:
@@ -126,10 +120,7 @@ def tau_prime(d: NuDerived) -> float:
     The method requires a negative slope for a physical solution family;
     the sign is a validity flag for the caller, not an error here.
     """
-    s8 = math.sqrt(d.a8)
-    s9 = math.sqrt(d.a9)
-    sign = 1.0 if d.branch is Branch.PRINCIPAL else -1.0
-    return -2.0 * d.coeffs.a3 - 2.0 * (s9 + sign * d.coeffs.a3 * s8)
+    return -2.0 * d.coeffs.a3 - 2.0 * (d.s9 + d.sign * d.coeffs.a3 * d.s8)
 
 
 def quantization_residual(c: NuCoefficients, n: int, b: Branch = Branch.PRINCIPAL) -> float:
@@ -147,12 +138,9 @@ def quantization_residual(c: NuCoefficients, n: int, b: Branch = Branch.PRINCIPA
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
     d = derive_constants(c, b)
-    s8 = math.sqrt(d.a8)
-    s9 = math.sqrt(d.a9)
-    sign = 1.0 if b is Branch.PRINCIPAL else -1.0
-    return (c.a2 * n - (2.0 * n + 1.0) * d.a5 + (2.0 * n + 1.0) * (s9 + sign * c.a3 * s8)
+    return (c.a2 * n - (2.0 * n + 1.0) * d.a5 + (2.0 * n + 1.0) * (d.s9 + d.sign * c.a3 * d.s8)
             + n * (n - 1.0) * c.a3 + d.a7 + 2.0 * c.a3 * d.a8
-            + sign * 2.0 * math.sqrt(d.a8 * d.a9))
+            + d.sign * 2.0 * math.sqrt(d.a8 * d.a9))
 
 
 @dataclass(frozen=True)
@@ -262,16 +250,21 @@ def evaluate_eigenfunction(d: NuDerived, n: int, s, log_scale: float):
 
     Accepts scalar or ndarray s in (0, 1/a3).  The factors are combined as
     sign(P) * exp(log_scale + p1*log(s) + p2*log1p(-a3*s) + log|P|), so a
-    power that alone would over- or underflow is offset by log_scale.
+    power that alone would over- or underflow is offset by log_scale.  P
+    comes as p * 2**e from `jacobi_scaled`, so log|P| = log|p| + e*log(2)
+    stays finite where P itself would overflow.
     """
+    import numpy as np
+
     p1, p2, ja, jb = eigenfunction_factors(d)
     a3 = d.coeffs.a3
     s_arr = np.asarray(s, dtype=float)
     if not np.all((s_arr > 0.0) & (s_arr < 1.0 / a3)):
         raise DomainError(f"s outside (0, {1.0 / a3})")
-    poly = jacobi(n, ja, jb, 1.0 - 2.0 * a3 * s_arr)
+    poly, exponent = jacobi_scaled(n, ja, jb, 1.0 - 2.0 * a3 * s_arr)
     with np.errstate(divide="ignore"):
-        log_value = log_scale + p1 * np.log(s_arr) + p2 * np.log1p(-a3 * s_arr) + np.log(np.abs(poly))
+        log_value = (log_scale + exponent * math.log(2.0) + p1 * np.log(s_arr)
+                     + p2 * np.log1p(-a3 * s_arr) + np.log(np.abs(poly)))
     value = np.sign(poly) * np.exp(log_value)
     if not np.all(np.isfinite(value)):
         raise DomainError("eigenfunction overflow")

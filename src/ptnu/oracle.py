@@ -11,7 +11,7 @@ to fourth order by Richardson extrapolation over a grid doubling.
 Nothing here touches the template pipeline: agreement with the closed
 form certifies it through an unrelated computational path.  scipy is
 imported inside the functions that use it, so importing this module
-(and the CLI, which imports it eagerly) stays cheap.
+stays cheap; the CLI imports it only for `verify`.
 """
 from __future__ import annotations
 

@@ -14,9 +14,8 @@ closed-form energy levels and Jacobi-polynomial radial wavefunctions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .nu import (Branch, NuDerived, SpectralFamily, derive_constants, eigenfunction_factors,
@@ -125,10 +124,13 @@ def energy_via_nu(p: PtPotential, n: int, tol_rel: float = 1e-12) -> float:
     hi = max(4.0 * p.alpha * p.alpha, 1.0)
     r_lo = family.residual(lo, n)
     for _ in range(80):
-        if family.residual(hi, n) * r_lo < 0.0:
+        r_hi = family.residual(hi, n)
+        if r_hi * r_lo < 0.0:
             break
         hi *= 4.0
-    tol = tol_rel * max(abs(r_lo), abs(family.residual(hi, n)), 1.0)
+    else:
+        r_hi = family.residual(hi, n)
+    tol = tol_rel * max(abs(r_lo), abs(r_hi), 1.0)
     eps = solve_energy(family, n, Branch.PRINCIPAL, (lo, hi), tol=tol)
     return eps / (2.0 * p.m)
 
@@ -136,7 +138,7 @@ def energy_via_nu(p: PtPotential, n: int, tol_rel: float = 1e-12) -> float:
 # sin^2(ar) rounds to 0 within about 1e-154/a of r = 0 and to 1 within
 # about 1e-8/a of r_max.  Holding s strictly inside (0, 1) there changes
 # only values below about 1e-8 of the envelope peak (p1, p2 > 1/2).
-_S_RANGE = (np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg)
+_S_RANGE = (sys.float_info.min, 1.0 - sys.float_info.epsilon / 2)
 
 
 def _eigenfunction(p: PtPotential, n: int) -> tuple[NuDerived, float]:
@@ -160,6 +162,8 @@ def radial_wavefunction(p: PtPotential, n: int):
     the closed-form energy, and the constant C chosen so that the
     sine-cosine envelope peaks at 1.  Vanishes at both ends of the well.
     """
+    import numpy as np
+
     d, log_scale = _eigenfunction(p, n)
     alpha = p.alpha
     r_max = p.r_max

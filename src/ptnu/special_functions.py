@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidIndex, NonFinite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def binomial(r: float, k: int) -> float:
@@ -21,26 +23,56 @@ def binomial(r: float, k: int) -> float:
     return math.exp(math.lgamma(r + 1.0) - math.lgamma(k + 1.0) - math.lgamma(r - k + 1.0))
 
 
+# Steps between rescalings in jacobi_scaled.  |P_k| grows by at most a
+# factor of about 1 + max(a, b) a step, so 16 steps stay in range for a
+# and b below about 1e18.
+_RESCALE_STEPS = 16
+
+
 def jacobi(n: int, a: float, b: float, x):
     """P_n^{(a,b)}(x) by the three-term recurrence in n.
 
-    Accepts scalar or ndarray x; requires a > -1 and b > -1.
+    Accepts scalar or ndarray x; requires a > -1 and b > -1.  Overflows to
+    infinity where P_n exceeds the float range; `jacobi_scaled` does not.
     """
+    import numpy as np
+
+    p, exponent = jacobi_scaled(n, a, b, x)
+    p = np.ldexp(p, exponent)
+    return p if p.ndim else float(p)
+
+
+def jacobi_scaled(n: int, a: float, b: float, x) -> tuple:
+    """(p, e) with P_n^{(a,b)}(x) = p * 2**e: p an ndarray shaped like x,
+    e an int ndarray of that shape, or the int 0 for n < _RESCALE_STEPS.
+
+    Every _RESCALE_STEPS steps of the recurrence, both carried terms are
+    divided by an exact power of two, so p stays in range however large
+    P_n grows, and p * 2**e rounds exactly as the unscaled recurrence
+    would.
+    """
+    import numpy as np
+
     if n < 0:
         raise InvalidIndex(f"polynomial degree must be >= 0, got {n}")
     if a <= -1.0 or b <= -1.0:
         raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
     x = np.asarray(x, dtype=float)
+    exponent = 0
     p_prev = np.ones_like(x)
     if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
+        return p_prev, exponent
     p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
     for k in range(2, n + 1):
+        if k % _RESCALE_STEPS == 0:
+            _, shift = np.frexp(np.maximum(np.abs(p), np.abs(p_prev)))
+            p, p_prev = np.ldexp(p, -shift), np.ldexp(p_prev, -shift)
+            exponent = exponent + shift
         c0 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
         c1 = (2.0 * k + a + b - 1.0) * ((2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b)
         c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
         p_prev, p = p, (c1 * p - c2 * p_prev) / c0
-    return p if p.ndim else float(p)
+    return p, exponent
 
 
 def jacobi_log_norm(n: int, a: float, b: float) -> float:
@@ -65,6 +97,8 @@ def jacobi_log_norm(n: int, a: float, b: float) -> float:
 def _binom_product(r: np.longdouble, k: int) -> np.longdouble:
     """C(r, k) as the product prod_j (r - k + j) / j, kept in extended
     precision for the oracle sums (k stays small, so no overflow)."""
+    import numpy as np
+
     out = np.longdouble(1.0)
     for j in range(1, k + 1):
         out = out * (r - k + j) / j
@@ -83,6 +117,8 @@ def jacobi_sum(n: int, a: float, b: float, x: float) -> float:
         raise InvalidIndex(f"finite-sum oracle limited to 0 <= n <= 20, got {n}")
     if a <= -1.0 or b <= -1.0:
         raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
+    import numpy as np
+
     a_l = np.longdouble(a)
     b_l = np.longdouble(b)
     lo = (np.longdouble(x) - 1) / 2
@@ -110,18 +146,28 @@ class QuadratureRule:
     interval: tuple[float, float]
 
 
-def gauss_rule(order: int, lo: float, hi: float) -> QuadratureRule:
-    """Gauss-Legendre rule of the given order scaled to [lo, hi]."""
+def _mapped_legendre(order: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of the given order mapped onto
+    [lo, hi]; column arrays of panel ends give one row per panel."""
+    import numpy as np
+
     if order < 1:
         raise InvalidIndex(f"quadrature order must be >= 1, got {order}")
     base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return QuadratureRule(mid + half * base_nodes, half * base_weights, (lo, hi))
+    return mid + half * base_nodes, half * base_weights
+
+
+def gauss_rule(order: int, lo: float, hi: float) -> QuadratureRule:
+    """Gauss-Legendre rule of the given order scaled to [lo, hi]."""
+    return QuadratureRule(*_mapped_legendre(order, lo, hi), (lo, hi))
 
 
 def _panel_edges(lo: float, hi: float, panels: int, graded: bool) -> np.ndarray:
     """Panel breakpoints; graded mode clusters geometrically toward both ends."""
+    import numpy as np
+
     if not graded:
         return np.linspace(lo, hi, panels + 1)
     # split panels between the two ends, ratio-2 geometric shrink inward
@@ -135,17 +181,17 @@ def _panel_edges(lo: float, hi: float, panels: int, graded: bool) -> np.ndarray:
 
 def composite_rule(lo: float, hi: float, panels: int, order: int = 12,
                    graded: bool = False) -> QuadratureRule:
-    """Composite Gauss-Legendre rule; nodes never touch the endpoints."""
+    """Composite Gauss-Legendre rule; nodes never touch the endpoints.
+
+    One base rule is mapped onto every panel in a single broadcast."""
     edges = _panel_edges(lo, hi, panels, graded)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        rule = gauss_rule(order, a, b)
-        nodes.append(rule.nodes)
-        weights.append(rule.weights)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights), (lo, hi))
+    nodes, weights = _mapped_legendre(order, edges[:-1, None], edges[1:, None])
+    return QuadratureRule(nodes.ravel(), weights.ravel(), (lo, hi))
 
 
 def _apply(f, nodes: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     try:
         values = np.asarray(f(nodes), dtype=float)
         if values.shape != nodes.shape:
@@ -166,6 +212,7 @@ def integrate(f, lo: float, hi: float, panels: int, order: int = 12,
     """
     if panels < 1:
         raise InvalidIndex(f"panel count must be >= 1, got {panels}")
+    import numpy as np
 
     def one_pass(n_panels: int) -> float:
         rule = composite_rule(lo, hi, n_panels, order=order, graded=graded)

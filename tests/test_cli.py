@@ -318,6 +318,21 @@ def test_cli_import_does_not_load_scipy():
     assert done.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("code,absent", [
+    ("import ptnu", {"numpy", "scipy"}),
+    ("from ptnu.cli import main; main(['table2'])", {"numpy", "scipy"}),
+    ("from ptnu.cli import main; main(['limit'])", {"numpy", "scipy"}),
+    ("from ptnu.cli import main; main(['wavefunction'])", {"scipy"}),
+])
+def test_closed_form_commands_do_not_load_array_libraries(code, absent):
+    # table2 and limit need only the math module; wavefunction needs numpy alone
+    probe = f"import sys; {code}; print(*{{m.split('.')[0] for m in sys.modules}})"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.splitlines()[-1].split())
+    assert loaded & absent == set()
+
+
 def test_module_entry_point_exit_codes():
     ok = subprocess.run([sys.executable, "-m", "ptnu", "table2", "--nmax", "0"],
                         capture_output=True, text=True)

@@ -104,6 +104,15 @@ def test_secondary_branch_starred_constants():
         assert d.k == -(d.a7 + 2 * c.a3 * d.a8) + 2 * math.sqrt(d.a8 * d.a9)
 
 
+def test_derived_constants_carry_roots_and_branch_sign():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        c = random_coefficients(rng)
+        for branch, sign in ((Branch.PRINCIPAL, 1.0), (Branch.SECONDARY, -1.0)):
+            d = derive_constants(c, branch)
+            assert (d.s8, d.s9, d.sign) == (math.sqrt(d.a8), math.sqrt(d.a9), sign)
+
+
 def test_negative_discriminant_raises():
     # a1=1 makes a4=0, so a8 = x3 < 0
     with pytest.raises(NegativeDiscriminant):

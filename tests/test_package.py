@@ -1,0 +1,41 @@
+"""The package namespace resolves its public names on first access."""
+import importlib
+import sys
+
+import pytest
+
+import ptnu
+
+
+def test_every_export_is_its_defining_object():
+    for name in ptnu.__all__:
+        value = getattr(ptnu, name)
+        if name in ("errors", "__version__"):
+            continue
+        assert value.__module__.startswith("ptnu."), name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from ptnu import *", namespace)
+    for name in ptnu.__all__:
+        assert namespace[name] is getattr(ptnu, name), name
+
+
+def test_dir_lists_every_export():
+    assert set(ptnu.__all__) <= set(dir(ptnu))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ptnu.no_such_name
+    assert not hasattr(ptnu, "cmd_table2")
+
+
+def test_submodules_stay_reachable():
+    from ptnu import cli
+
+    assert cli is sys.modules["ptnu.cli"]
+    for name in ("nu", "oracle", "poschl_teller", "special_functions", "errors"):
+        assert getattr(ptnu, name) is importlib.import_module(f"ptnu.{name}")

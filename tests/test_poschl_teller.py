@@ -21,6 +21,7 @@ from ptnu import (
     integrate,
     normalize,
     normalized_wavefunction,
+    nu,
     oracle,
     potential_value,
     radial_wavefunction,
@@ -169,6 +170,26 @@ def test_energy_via_nu_matches_closed_form_random_sweep():
         assert energy_via_nu(p, n) == pytest.approx(expected, rel=1e-9)
 
 
+def test_energy_via_nu_residual_budget(monkeypatch):
+    # the bracket search hands its last residual to the tolerance; evaluating
+    # it again at the final hi would cost up to 13 per Table-2 root
+    original = nu.quantization_residual
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(nu, "quantization_residual", counting)
+    counts = []
+    for alpha in TABLE2_ALPHAS:
+        for n in range(7):
+            calls.clear()
+            energy_via_nu(reference_potential(alpha), n)
+            counts.append(len(calls))
+    assert max(counts) <= 12
+
+
 # --- wavefunctions -----------------------------------------------------------
 
 def test_ground_state_nodeless():
@@ -234,6 +255,20 @@ def test_normalize_unit_norm():
         if not (state.n == n and 0.0 < state.norm < math.inf and abs(value - 1.0) <= 1e-10):
             wrong.append((alpha, n, state.norm, value))
     assert wrong == []
+
+
+@pytest.mark.parametrize("alpha", [0.002, 1.2])
+def test_high_state_stays_finite(alpha):
+    # at alpha = 0.002 the Jacobi factor of n = 200 reaches about 1e366
+    n = 200
+    p = reference_potential(alpha)
+    state, r_fn = normalized_wavefunction(p, n)
+    grid = np.linspace(p.r_max * 1e-4, p.r_max * (1.0 - 1e-4), 200_000)
+    values = r_fn(grid)
+    assert np.all(np.isfinite(values))
+    assert count_sign_changes(values) == n
+    assert norm_by_quadrature(r_fn, p.r_max) == pytest.approx(1.0, abs=1e-10)
+    assert 0.0 < state.norm < math.inf
 
 
 def test_normalize_bookkeeping():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,9 +12,11 @@ from ptnu import (
     integrate,
     jacobi,
     jacobi_log_norm,
+    jacobi_scaled,
     jacobi_sum,
 )
 from ptnu.errors import InvalidIndex, NonFinite
+from ptnu.special_functions import _panel_edges
 
 
 def test_jacobi_degree_zero_is_one():
@@ -110,10 +113,36 @@ def test_jacobi_vectorized_matches_scalar():
         assert vi == jacobi(4, 1.2, 3.4, float(xi))
 
 
+def test_jacobi_scaled_unscaled_below_sixteen_steps():
+    x = np.linspace(-1.0, 1.0, 9)
+    for n in range(16):
+        p, exponent = jacobi_scaled(n, 3.2, 7.1, x)
+        assert exponent == 0
+        assert np.array_equal(p, jacobi(n, 3.2, 7.1, x))
+
+
+@pytest.mark.parametrize("n,a,b", [(40, 3.2, 7.1), (200, 5000.0, 4000.0)])
+def test_jacobi_scaled_matches_mpmath(n, a, b):
+    # P_200^(5000,4000) reaches 4e366 at x = 1, beyond the float range
+    x = np.array([-0.999, -0.3, 0.0, 0.41, 0.97, 1.0])
+    p, exponent = jacobi_scaled(n, a, b, x)
+    assert np.all(np.abs(p) < 1e300)
+    with mpmath.workdps(40):
+        for xi, pi, ei in zip(x, p, exponent):
+            exact = mpmath.jacobi(n, a, b, mpmath.mpf(xi))
+            assert np.sign(pi) == mpmath.sign(exact)
+            log_abs = math.log(abs(pi)) + ei * math.log(2.0)
+            assert log_abs == pytest.approx(float(mpmath.log(abs(exact))), rel=1e-13, abs=1e-12)
+            if abs(exact) < 1e300:
+                assert jacobi(n, a, b, xi) == pytest.approx(float(exact), rel=1e-12)
+
+
 @pytest.mark.parametrize("n,a,b", [(-1, 0.0, 0.0), (2, -1.0, 0.0), (2, 0.0, -1.5)])
 def test_jacobi_invalid_index(n, a, b):
     with pytest.raises(InvalidIndex):
         jacobi(n, a, b, 0.1)
+    with pytest.raises(InvalidIndex):
+        jacobi_scaled(n, a, b, 0.1)
     with pytest.raises(InvalidIndex):
         jacobi_sum(n, a, b, 0.1)
     with pytest.raises(InvalidIndex):
@@ -155,3 +184,23 @@ def test_quadrature_rule_invariants():
     _check_rule(gauss_rule(5, 0.0, 2.5))
     _check_rule(composite_rule(0.0, 1.0, 10))
     _check_rule(composite_rule(0.0, 3.0, 24, graded=True))
+
+
+@pytest.mark.parametrize("lo,hi,panels,order,graded", [
+    (0.0, 1.0, 10, 12, False), (-2.5, 3.0, 24, 7, True), (1.0, 1.5, 1, 3, False),
+    (0.0, 78.53981633974483, 9, 12, True)])
+def test_composite_rule_is_gauss_rule_on_each_panel(lo, hi, panels, order, graded):
+    # one broadcast of the base rule rounds exactly as per-panel gauss_rule calls
+    rule = composite_rule(lo, hi, panels, order=order, graded=graded)
+    edges = _panel_edges(lo, hi, panels, graded)
+    parts = [gauss_rule(order, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    assert np.array_equal(rule.nodes, np.concatenate([part.nodes for part in parts]))
+    assert np.array_equal(rule.weights, np.concatenate([part.weights for part in parts]))
+    assert rule.interval == (lo, hi)
+
+
+def test_quadrature_order_must_be_positive():
+    with pytest.raises(InvalidIndex):
+        gauss_rule(0, 0.0, 1.0)
+    with pytest.raises(InvalidIndex):
+        composite_rule(0.0, 1.0, 3, order=0)
