@@ -11,8 +11,8 @@ from . import errors
 _EXPORTS = {
     "nu": (
         "Branch", "NuCoefficients", "NuDerived", "SpectralFamily", "derive_constants",
-        "eigenfunction_factors", "evaluate_eigenfunction", "k_values",
-        "quantization_residual", "solve_energy", "tau_prime",
+        "eigenfunction_factors", "evaluate_eigenfunction", "quantization_residual",
+        "solve_energy", "tau_prime",
     ),
     "oracle": (
         "ConvergedEigenvalue", "RadialOperator", "converge_eigenvalue", "discretize",

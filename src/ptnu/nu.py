@@ -84,12 +84,9 @@ class NuDerived:
     sign: float
 
 
-def derive_constants(c: NuCoefficients, b: Branch = Branch.PRINCIPAL) -> NuDerived:
-    """Run the constant pipeline a4..a13 for the requested branch.
-
-    Raises NegativeDiscriminant when a8 < 0 or a9 < 0, i.e. when the
-    square roots leave the real axis and the method does not apply.
-    """
+def _roots(c: NuCoefficients) -> tuple[float, float, float, float, float, float, float, float]:
+    """Branch-independent (a4, a5, a6, a7, a8, a9, sqrt(a8), sqrt(a9)).  Raises
+    NegativeDiscriminant when a8 < 0 or a9 < 0: the method then does not apply."""
     a4 = 0.5 * (1.0 - c.a1)
     a5 = 0.5 * (c.a2 - 2.0 * c.a3)
     a6 = a5 * a5 + c.x1
@@ -98,8 +95,12 @@ def derive_constants(c: NuCoefficients, b: Branch = Branch.PRINCIPAL) -> NuDeriv
     a9 = c.a3 * a7 + c.a3 * c.a3 * a8 + a6
     if a8 < 0.0 or a9 < 0.0:
         raise NegativeDiscriminant(f"need a8 >= 0 and a9 >= 0, got a8={a8}, a9={a9}")
-    s8 = math.sqrt(a8)
-    s9 = math.sqrt(a9)
+    return a4, a5, a6, a7, a8, a9, math.sqrt(a8), math.sqrt(a9)
+
+
+def derive_constants(c: NuCoefficients, b: Branch = Branch.PRINCIPAL) -> NuDerived:
+    """Run the constant pipeline a4..a13 for the requested branch; raises as `_roots`."""
+    a4, a5, a6, a7, a8, a9, s8, s9 = _roots(c)
     sign = 1.0 if b is Branch.PRINCIPAL else -1.0
     k = -(a7 + 2.0 * c.a3 * a8) - sign * 2.0 * math.sqrt(a8 * a9)
     a10 = c.a1 + 2.0 * a4 + sign * 2.0 * s8
@@ -107,11 +108,6 @@ def derive_constants(c: NuCoefficients, b: Branch = Branch.PRINCIPAL) -> NuDeriv
     a12 = a4 + sign * s8
     a13 = a5 - (s9 + sign * c.a3 * s8)
     return NuDerived(c, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, k, b, s8, s9, sign)
-
-
-def k_values(c: NuCoefficients) -> tuple[float, float]:
-    """Both admissible k roots, (principal, secondary)."""
-    return derive_constants(c).k, derive_constants(c, Branch.SECONDARY).k
 
 
 def tau_prime(d: NuDerived) -> float:
@@ -134,13 +130,14 @@ def quantization_residual(c: NuCoefficients, n: int, b: Branch = Branch.PRINCIPA
     The secondary branch flips the signs of the a3*sqrt(a8) and
     2*sqrt(a8*a9) terms.  Equivalent to lambda_n - lambda with
     lambda = k + pi' and lambda_n = -n*tau' - n(n-1)/2 * sigma''.
+    Reads `_roots` directly: no `NuDerived` is built per probe in eps.
     """
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
-    d = derive_constants(c, b)
-    return (c.a2 * n - (2.0 * n + 1.0) * d.a5 + (2.0 * n + 1.0) * (d.s9 + d.sign * c.a3 * d.s8)
-            + n * (n - 1.0) * c.a3 + d.a7 + 2.0 * c.a3 * d.a8
-            + d.sign * 2.0 * math.sqrt(d.a8 * d.a9))
+    _, a5, _, a7, a8, a9, s8, s9 = _roots(c)
+    sign = 1.0 if b is Branch.PRINCIPAL else -1.0
+    return (c.a2 * n - (2.0 * n + 1.0) * a5 + (2.0 * n + 1.0) * (s9 + sign * c.a3 * s8)
+            + n * (n - 1.0) * c.a3 + a7 + 2.0 * c.a3 * a8 + sign * 2.0 * math.sqrt(a8 * a9))
 
 
 @dataclass(frozen=True)
@@ -169,7 +166,8 @@ class SpectralFamily:
 
 
 def solve_energy(f: SpectralFamily, n: int, b: Branch, bracket: tuple[float, float],
-                 tol: float = 1e-12, max_iter: int = 200) -> float:
+                 tol: float = 1e-12, max_iter: int = 200,
+                 ends: tuple[float, float] | None = None) -> float:
     """Root of the termination condition in eps over the given bracket.
 
     Probes three points first: if they are collinear the residual is
@@ -177,14 +175,16 @@ def solve_energy(f: SpectralFamily, n: int, b: Branch, bracket: tuple[float, flo
     step plus one secant polish.  Otherwise requires a sign change over
     the bracket and closes in with bisection-safeguarded secant steps.
     Terminates when |residual| <= tol.
+
+    `ends`, when given, is (r_lo, r_hi) already known at the bracket ends;
+    those two are then not evaluated again.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     lo, hi = bracket
     if not (lo < hi):
         raise DomainError(f"empty bracket {bracket}")
-    r_lo = f.residual(lo, n, b)
-    r_hi = f.residual(hi, n, b)
+    r_lo, r_hi = ends if ends is not None else (f.residual(lo, n, b), f.residual(hi, n, b))
     mid = 0.5 * (lo + hi)
     r_mid = f.residual(mid, n, b)
     scale = max(abs(r_lo), abs(r_hi), abs(r_mid), 1.0)
@@ -197,7 +197,7 @@ def solve_energy(f: SpectralFamily, n: int, b: Branch, bracket: tuple[float, flo
             r = f.residual(eps, n, b)
             if r != 0.0 and slope != 0.0:
                 polished = eps - r / slope
-                if lo <= polished <= hi:
+                if polished != eps and lo <= polished <= hi:
                     r_polished = f.residual(polished, n, b)
                     if abs(r_polished) < abs(r):
                         eps, r = polished, r_polished

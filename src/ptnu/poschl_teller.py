@@ -131,7 +131,7 @@ def energy_via_nu(p: PtPotential, n: int, tol_rel: float = 1e-12) -> float:
     else:
         r_hi = family.residual(hi, n)
     tol = tol_rel * max(abs(r_lo), abs(r_hi), 1.0)
-    eps = solve_energy(family, n, Branch.PRINCIPAL, (lo, hi), tol=tol)
+    eps = solve_energy(family, n, Branch.PRINCIPAL, (lo, hi), tol=tol, ends=(r_lo, r_hi))
     return eps / (2.0 * p.m)
 
 

@@ -13,7 +13,6 @@ from ptnu import (
     eigenfunction_factors,
     energy_closed_form,
     evaluate_eigenfunction,
-    k_values,
     quantization_residual,
     solve_energy,
     tau_prime,
@@ -126,25 +125,30 @@ def test_coefficient_validation():
         NuCoefficients(math.nan, 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
-# --- k_values ----------------------------------------------------------------
+# --- k -----------------------------------------------------------------------
 
-def test_k_values_all_terms_vanish():
+def both_k(c):
+    """k of the two branches, (principal, secondary)."""
+    return derive_constants(c).k, derive_constants(c, Branch.SECONDARY).k
+
+
+def test_k_all_terms_vanish():
     # a4 = 0 and x3 = 0 give a8 = 0; a2 = 2, a3 = 1 give a5 = 0 so a7 = -x2 = 0
-    ks = k_values(NuCoefficients(1.0, 2.0, 1.0, 1.0, 0.0, 0.0))
+    ks = both_k(NuCoefficients(1.0, 2.0, 1.0, 1.0, 0.0, 0.0))
     assert ks == (0.0, 0.0)
 
 
-def test_k_values_direct_substitution():
+def test_k_direct_substitution():
     # a3=0, a7=-1, a8=1, a9=1  ->  k = 1 -+ 2
-    ks = k_values(NuCoefficients(1.0, 0.0, 0.0, 1.0, 1.0, 1.0))
+    ks = both_k(NuCoefficients(1.0, 0.0, 0.0, 1.0, 1.0, 1.0))
     assert ks[0] == pytest.approx(-1.0, abs=1e-15)
     assert ks[1] == pytest.approx(3.0, abs=1e-15)
 
 
-def test_k_values_principal_matches_branch_choice():
+def test_k_principal_matches_branch_choice():
     c = pt_coefficients()
     d = derive_constants(c)
-    k1, k2 = k_values(c)
+    k1, k2 = both_k(c)
     assert k1 == d.k
     expected = -(d.a7 + 2.0 * d.a8) - 2.0 * math.sqrt(d.a8 * d.a9)
     assert k1 == pytest.approx(expected, rel=1e-15)
@@ -212,6 +216,22 @@ def test_residual_matches_eigenvalue_relation_both_branches():
             d = derive_constants(c, branch)
             expected = -n * tau_prime(d) + n * (n - 1.0) * c.a3 - (d.k + d.a13)
             assert quantization_residual(c, n, branch) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_residual_bit_equal_to_derived_formula():
+    # the residual reads the constant chain directly; it must round exactly
+    # as the formula on derive_constants' fields did
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        c = random_coefficients(rng)
+        n = int(rng.integers(0, 11))
+        for branch in Branch:
+            d = derive_constants(c, branch)
+            expected = (c.a2 * n - (2.0 * n + 1.0) * d.a5
+                        + (2.0 * n + 1.0) * (d.s9 + d.sign * c.a3 * d.s8)
+                        + n * (n - 1.0) * c.a3 + d.a7 + 2.0 * c.a3 * d.a8
+                        + d.sign * 2.0 * math.sqrt(d.a8 * d.a9))
+            assert quantization_residual(c, n, branch) == expected
 
 
 def test_residual_rejects_negative_n():

@@ -1,4 +1,6 @@
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,24 +172,65 @@ def test_energy_via_nu_matches_closed_form_random_sweep():
         assert energy_via_nu(p, n) == pytest.approx(expected, rel=1e-9)
 
 
-def test_energy_via_nu_residual_budget(monkeypatch):
-    # the bracket search hands its last residual to the tolerance; evaluating
-    # it again at the final hi would cost up to 13 per Table-2 root
+GOLDEN_ENERGIES = Path(__file__).resolve().parent / "golden" / "energy_via_nu.txt"
+GOLDEN_SEED = 20261018
+
+
+def energy_via_nu_golden_lines():
+    """repr of energy_via_nu for the 42 Table-2 cells, one line per alpha,
+    then 100 potentials from random.Random(GOLDEN_SEED) with m in [1, 20],
+    V1 and V2 in [0.5, 10] and alpha log-uniform in [0.002, 1.5], n = 0..10."""
+    cells = [(reference_potential(alpha), range(7)) for alpha in TABLE2_ALPHAS]
+    rng = random.Random(GOLDEN_SEED)
+    for _ in range(100):
+        m, v1, v2 = rng.uniform(1.0, 20.0), rng.uniform(0.5, 10.0), rng.uniform(0.5, 10.0)
+        alpha = math.exp(rng.uniform(math.log(0.002), math.log(1.5)))
+        cells.append((PtPotential(m, v1, v2, alpha), range(11)))
+    return [" ".join([repr(p.m), repr(p.v1), repr(p.v2), repr(p.alpha), "|"]
+                     + [repr(energy_via_nu(p, n)) for n in levels]) + "\n"
+            for p, levels in cells]
+
+
+def test_energy_via_nu_matches_golden():
+    # the file was written by the residual that built NuDerived on every call;
+    # dropping that must not move a single bit of any root
+    assert "".join(energy_via_nu_golden_lines()) == GOLDEN_ENERGIES.read_text(encoding="utf-8")
+
+
+def record_residual_probes(monkeypatch):
+    """List that receives the (x1, x2) of every quantization_residual call;
+    for Poschl-Teller both are affine in eps, so the pair identifies the probe."""
     original = nu.quantization_residual
-    calls = []
+    probes = []
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def recording(c, *args):
+        probes.append((c.x1, c.x2))
+        return original(c, *args)
 
-    monkeypatch.setattr(nu, "quantization_residual", counting)
+    monkeypatch.setattr(nu, "quantization_residual", recording)
+    return probes
+
+
+def test_energy_via_nu_residual_budget(monkeypatch):
+    # the bracket search hands both end residuals to solve_energy; evaluating
+    # them again cost up to 12 per Table-2 root
+    probes = record_residual_probes(monkeypatch)
     counts = []
     for alpha in TABLE2_ALPHAS:
         for n in range(7):
-            calls.clear()
+            probes.clear()
             energy_via_nu(reference_potential(alpha), n)
-            counts.append(len(calls))
-    assert max(counts) <= 12
+            counts.append(len(probes))
+    assert max(counts) <= 10
+
+
+def test_energy_via_nu_never_repeats_a_probe(monkeypatch):
+    probes = record_residual_probes(monkeypatch)
+    for alpha in TABLE2_ALPHAS:
+        for n in range(7):
+            probes.clear()
+            energy_via_nu(reference_potential(alpha), n)
+            assert len(set(probes)) == len(probes), (alpha, n, probes)
 
 
 # --- wavefunctions -----------------------------------------------------------
