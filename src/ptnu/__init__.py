@@ -15,8 +15,8 @@ _EXPORTS = {
         "solve_energy", "tau_prime",
     ),
     "oracle": (
-        "ConvergedEigenvalue", "RadialOperator", "converge_eigenvalue", "discretize",
-        "eigenvector", "lowest_eigenvalues", "ode_residual", "richardson",
+        "RadialOperator", "discretize", "eigenvector", "lowest_eigenvalues", "ode_residual",
+        "richardson",
     ),
     "poschl_teller": (
         "BoundState", "PtPotential", "alpha_zero_limit", "energy_closed_form",
@@ -24,7 +24,7 @@ _EXPORTS = {
         "radial_wavefunction", "spectrum_table", "to_nu_family",
     ),
     "special_functions": (
-        "QuadratureRule", "binomial", "composite_rule", "gauss_rule", "integrate",
+        "QuadratureRule", "composite_rule", "gauss_rule", "integrate",
         "jacobi", "jacobi_log_norm", "jacobi_scaled", "jacobi_sum",
     ),
 }

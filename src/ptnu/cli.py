@@ -25,7 +25,6 @@ from .poschl_teller import (
 
 DEFAULT_ALPHAS = (1.2, 0.8, 0.4, 0.2, 0.02, 0.002)
 ORACLE_BAND = 1e-4
-ORACLE_ALPHA_MIN = 0.4
 FORMATS = ("csv", "tsv", "json")
 
 
@@ -71,40 +70,22 @@ def _fmt_dev(value: float, precision: int) -> str:
     return f"{_finite(value):.{precision}e}"
 
 
-def _emit(out, header: list[str], rows: list[list], fmt: str) -> None:
-    """Write one rectangular table; cells are pre-formatted strings or None.
+def _emit(out, header: list[str], rows: list[list[str]], fmt: str) -> None:
+    """Write one rectangular table of pre-formatted number strings.
 
-    In csv/tsv a None cell prints as `skipped`; in json it becomes null.
-    Formatted numeric strings pass through as raw json numbers, so every
-    format carries byte-identical values.
+    Every cell is an integer, a validated finite float or a fixed or
+    scientific rendering of one, so json carries each as a raw number and
+    every format holds byte-identical values.
     """
     if fmt == "json":
-        lines = []
-        for row in rows:
-            fields = []
-            for key, cell in zip(header, row):
-                if cell is None:
-                    token = "null"
-                elif isinstance(cell, str) and _is_number(cell):
-                    token = cell
-                else:
-                    token = f'"{cell}"'
-                fields.append(f'"{key}": {token}')
-            lines.append("  {" + ", ".join(fields) + "}")
+        lines = ["  {" + ", ".join(f'"{key}": {cell}' for key, cell in zip(header, row)) + "}"
+                 for row in rows]
         out.write("[\n" + ",\n".join(lines) + "\n]\n")
         return
     sep = "," if fmt == "csv" else "\t"
     out.write(sep.join(header) + "\n")
     for row in rows:
-        out.write(sep.join("skipped" if cell is None else str(cell) for cell in row) + "\n")
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+        out.write(sep.join(row) + "\n")
 
 
 def cmd_table2(config: RunConfig, out=None) -> int:
@@ -148,9 +129,9 @@ def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
 def cmd_verify(config: RunConfig, out=None) -> int:
     """Closed form vs template root vs finite-difference oracle per cell.
 
-    The oracle column is populated only for alpha >= 0.4 (uniform grids
-    are hopeless on the near-flat wells of smaller alpha); exit 1 when
-    any populated deviation leaves its band.
+    The oracle solves every alpha on N and 2N+1 interior points and
+    Richardson-combines the pair; exit 1 when any deviation leaves its
+    band (`tol` for the root, ORACLE_BAND for the oracle).
     """
     from .oracle import discretize, lowest_eigenvalues, richardson
 
@@ -161,32 +142,22 @@ def cmd_verify(config: RunConfig, out=None) -> int:
     header = ["n", "alpha", "e_closed", "e_nu", "e_oracle", "nu_dev", "oracle_dev"]
     rows = []
     violated = False
+    count = config.n_max + 1
     for alpha in config.alphas:
         p = PtPotential(config.m, config.v1, config.v2, alpha)
-        oracle_levels = None
-        if alpha >= ORACLE_ALPHA_MIN:
-            count = config.n_max + 1
-            coarse = lowest_eigenvalues(discretize(p, config.grid_points), count)
-            fine = lowest_eigenvalues(discretize(p, 2 * config.grid_points + 1), count)
-            oracle_levels = [richardson(c, f) / (2.0 * p.m) for c, f in zip(coarse, fine)]
-        for n in range(config.n_max + 1):
+        coarse = lowest_eigenvalues(discretize(p, config.grid_points), count)
+        fine = lowest_eigenvalues(discretize(p, 2 * config.grid_points + 1), count)
+        oracle_levels = [richardson(c, f) / (2.0 * p.m) for c, f in zip(coarse, fine)]
+        for n, e_or in enumerate(oracle_levels):
             e_closed = energy_closed_form(p, n)
             e_nu = energy_via_nu(p, n)
             nu_dev = abs(e_nu - e_closed) / abs(e_closed)
-            if nu_dev > config.tol:
+            oracle_dev = abs(e_or - e_closed) / abs(e_closed)
+            if nu_dev > config.tol or oracle_dev > ORACLE_BAND:
                 violated = True
-            row = [str(n), str(alpha), _fmt(e_closed, config.precision),
-                   _fmt(e_nu, config.precision)]
-            if oracle_levels is None:
-                row += [None, _fmt_dev(nu_dev, 2), None]
-            else:
-                e_or = oracle_levels[n]
-                oracle_dev = abs(e_or - e_closed) / abs(e_closed)
-                if oracle_dev > ORACLE_BAND:
-                    violated = True
-                row += [_fmt(e_or, config.precision), _fmt_dev(nu_dev, 2),
-                        _fmt_dev(oracle_dev, 2)]
-            rows.append(row)
+            rows.append([str(n), str(alpha), _fmt(e_closed, config.precision),
+                         _fmt(e_nu, config.precision), _fmt(e_or, config.precision),
+                         _fmt_dev(nu_dev, 2), _fmt_dev(oracle_dev, 2)])
     _emit(out, header, rows, config.format)
     return 1 if violated else 0
 

@@ -144,20 +144,16 @@ def quantization_residual(c: NuCoefficients, n: int, b: Branch = Branch.PRINCIPA
 class SpectralFamily:
     """Template coefficients whose x1, x2, x3 depend on a spectral parameter.
 
-    xi_map must be deterministic and total on eps_domain; outside that
-    interval coefficient evaluation is refused.
+    xi_map must be deterministic; where it yields a non-finite x1..x3,
+    NuCoefficients refuses the coefficient set with a DomainError.
     """
 
     a1: float
     a2: float
     a3: float
     xi_map: Callable[[float], tuple[float, float, float]]
-    eps_domain: tuple[float, float] = (-math.inf, math.inf)
 
     def coefficients(self, eps: float) -> NuCoefficients:
-        lo, hi = self.eps_domain
-        if not (lo <= eps <= hi):
-            raise DomainError(f"eps={eps} outside domain [{lo}, {hi}]")
         x1, x2, x3 = self.xi_map(eps)
         return NuCoefficients(self.a1, self.a2, self.a3, x1, x2, x3)
 

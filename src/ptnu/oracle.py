@@ -35,20 +35,6 @@ class RadialOperator:
     domain: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ConvergedEigenvalue:
-    """One eigenvalue at step h and h/2 with its Richardson combination.
-
-    order_estimate comes from an additional step-2h solve; it should sit
-    near 2 for the three-point stencil.
-    """
-
-    eps_h: float
-    eps_h2: float
-    extrapolated: float
-    order_estimate: float
-
-
 def discretize(p: PtPotential, n_points: int) -> RadialOperator:
     """Three-point operator for the reduced equation with eps = 2mE."""
     if n_points < 100:
@@ -93,33 +79,14 @@ def richardson(e_h: float, e_h2: float, order: int = 2) -> float:
     return (factor * e_h2 - e_h) / (factor - 1.0)
 
 
-def converge_eigenvalue(p: PtPotential, index: int, n_points: int) -> ConvergedEigenvalue:
-    """Eigenvalue `index` solved at steps 2h, h, h/2 (n_points must be odd
-    so the coarse grid is exact), Richardson-combined over the finer pair."""
-    if n_points % 2 == 0:
-        raise DomainError(f"n_points must be odd for exact step halving, got {n_points}")
-    coarse = (n_points - 1) // 2
-    fine = 2 * n_points + 1
-    e_2h = lowest_eigenvalues(discretize(p, coarse), index + 1)[index]
-    e_h = lowest_eigenvalues(discretize(p, n_points), index + 1)[index]
-    e_h2 = lowest_eigenvalues(discretize(p, fine), index + 1)[index]
-    order = math.log2(abs(e_2h - e_h) / abs(e_h - e_h2))
-    return ConvergedEigenvalue(
-        eps_h=e_h,
-        eps_h2=e_h2,
-        extrapolated=richardson(e_h, e_h2),
-        order_estimate=order,
-    )
-
-
-def eigenvector(op: RadialOperator, eigenvalue: float, iterations: int = 4) -> np.ndarray:
+def eigenvector(op: RadialOperator, eigenvalue: float) -> np.ndarray:
     """Unit eigenvector by inverse iteration at the converged eigenvalue.
 
-    Each step is one LAPACK tridiagonal solve (gtsv, partial pivoting) of
-    the shifted operator, which is nearly singular on purpose.  The shift
-    sits 4 ulp off the eigenvalue, as close as dstebz resolves it, so an
-    eigenvalue equal to a decoupled diagonal entry leaves a nonzero pivot
-    instead of an exactly singular solve.
+    Each of the four steps is one LAPACK tridiagonal solve (gtsv, partial
+    pivoting) of the shifted operator, which is nearly singular on
+    purpose.  The shift sits 4 ulp off the eigenvalue, as close as dstebz
+    resolves it, so an eigenvalue equal to a decoupled diagonal entry
+    leaves a nonzero pivot instead of an exactly singular solve.
     """
     import scipy.linalg
 
@@ -129,7 +96,7 @@ def eigenvector(op: RadialOperator, eigenvalue: float, iterations: int = 4) -> n
     rng = np.random.default_rng(8671)
     v = rng.standard_normal(op.n_points)
     v /= np.linalg.norm(v)
-    for _ in range(iterations):
+    for _ in range(4):
         v = scipy.linalg.solve_banded((1, 1), shifted, v)
         v /= np.linalg.norm(v)
     if v[np.argmax(np.abs(v))] < 0.0:

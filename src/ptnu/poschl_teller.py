@@ -110,11 +110,11 @@ def alpha_zero_limit(p: PtPotential) -> float:
     return p.v1 + p.v2 + 2.0 * math.sqrt(p.v1 * p.v2)
 
 
-def energy_via_nu(p: PtPotential, n: int, tol_rel: float = 1e-12) -> float:
+def energy_via_nu(p: PtPotential, n: int) -> float:
     """Level E_n obtained by root-finding the template's termination
     condition; independent of the closed form except through the mapping.
 
-    The residual tolerance is scaled by the residual magnitude at the
+    The residual tolerance is 1e-12 of the residual magnitude at the
     bracket ends: the floating-point noise floor of the residual grows
     with the xi coefficients (~ V'/alpha^2), so a fixed absolute
     tolerance is unreachable for very small alpha.
@@ -130,7 +130,7 @@ def energy_via_nu(p: PtPotential, n: int, tol_rel: float = 1e-12) -> float:
         hi *= 4.0
     else:
         r_hi = family.residual(hi, n)
-    tol = tol_rel * max(abs(r_lo), abs(r_hi), 1.0)
+    tol = 1e-12 * max(abs(r_lo), abs(r_hi), 1.0)
     eps = solve_energy(family, n, Branch.PRINCIPAL, (lo, hi), tol=tol, ends=(r_lo, r_hi))
     return eps / (2.0 * p.m)
 

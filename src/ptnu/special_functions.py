@@ -16,13 +16,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def binomial(r: float, k: int) -> float:
-    """Binomial coefficient C(r, k) with real r, via log-gamma differences
-    (no overflow for large indices).  Requires r - k > -1 so all gamma
-    arguments are positive."""
-    return math.exp(math.lgamma(r + 1.0) - math.lgamma(k + 1.0) - math.lgamma(r - k + 1.0))
-
-
 # Steps between rescalings in jacobi_scaled.  |P_k| grows by at most a
 # factor of about 1 + max(a, b) a step, so 16 steps stay in range for a
 # and b below about 1e18.

@@ -105,6 +105,39 @@ def test_criterion_3_oracle_certification():
             f"runtime {elapsed:.1f}s < 60s")
 
 
+def test_criterion_3_small_alpha_and_level_spacing():
+    # criterion 3's recipe on the three near-flat wells it leaves out
+    start = time.perf_counter()
+    worst = 0.0
+    for alpha in (0.2, 0.02, 0.002):
+        p = reference_potential(alpha)
+        coarse = lowest_eigenvalues(discretize(p, 8000), 7)
+        fine = lowest_eigenvalues(discretize(p, 16001), 7)
+        for n in range(7):
+            expected = energy_closed_form(p, n)
+            extrapolated = richardson(coarse[n], fine[n]) / (2.0 * p.m)
+            worst = max(worst, abs(extrapolated - expected) / abs(expected))
+    elapsed = time.perf_counter() - start
+    # at alpha = 0.002 neighbouring levels differ by 4.5e-4 of E, so the 1e-4
+    # band barely tells them apart; verify's default 2000 / 4001 pair must
+    # also land within 1e-3 of a level spacing on all 42 cells
+    worst_spacing = 0.0
+    for alpha in TABLE2_ALPHAS:
+        p = reference_potential(alpha)
+        coarse = lowest_eigenvalues(discretize(p, 2000), 7)
+        fine = lowest_eigenvalues(discretize(p, 4001), 7)
+        levels = [energy_closed_form(p, n) for n in range(8)]
+        for n in range(7):
+            extrapolated = richardson(coarse[n], fine[n]) / (2.0 * p.m)
+            spacing = levels[n + 1] - levels[n]
+            worst_spacing = max(worst_spacing, abs(extrapolated - levels[n]) / spacing)
+    ok = worst <= 1e-4 and elapsed < 60.0 and worst_spacing <= 1e-3
+    _report(ok, "criterion 3 on alpha < 0.4 (finite-difference oracle)",
+            f"worst relative dev {worst:.2e} <= 1e-4 over 21 cells at 8000 points; "
+            f"runtime {elapsed:.1f}s < 60s; worst deviation {worst_spacing:.2e} of a "
+            f"level spacing <= 1e-3 over 42 cells at 2000 points")
+
+
 def test_criterion_4_limit_law():
     limit = 8.0 + 2.0 * math.sqrt(15.0)
     deviations = [abs(energy_closed_form(reference_potential(a), 0) - limit)

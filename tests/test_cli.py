@@ -59,10 +59,12 @@ def test_default_verify_pins_closed_form_and_engine_columns():
     keep = [header.index(c) for c in ("n", "alpha", "e_closed", "e_nu", "nu_dev")]
     pinned = "".join(",".join(r[i] for i in keep) + "\n" for r in [header] + rows)
     assert pinned == (GOLDEN / "verify_closed_nu.txt").read_text(encoding="utf-8")
-    devs = [row[header.index("oracle_dev")] for row in rows]
-    populated = [float(d) for d in devs if d != "skipped"]
-    assert len(populated) == 21
-    assert max(populated) <= 1e-9
+    devs = [float(row[header.index("oracle_dev")]) for row in rows]
+    assert len(devs) == 42
+    # rows run alpha by alpha: 1.2, 0.8, 0.4 first, then 0.2, 0.02, 0.002
+    assert max(devs[:21]) <= 1e-9
+    # the near-flat wells of small alpha: measured 1.49e-8 at alpha = 0.002, n = 6
+    assert max(devs[21:]) <= 2e-8
 
 
 # --- table2 ------------------------------------------------------------------
@@ -179,29 +181,43 @@ def test_verify_unachievable_band_fails():
     assert out  # report still printed
 
 
-def test_verify_small_alpha_skipped():
-    code, out, _ = run_main(["verify", "--alpha", "0.002", "--nmax", "1",
-                             "--grid-points", "1000"])
-    assert code == 0
+def test_verify_small_alpha_certified():
+    code, out, err = run_main(["verify", "--alpha", "0.002", "--nmax", "1",
+                               "--grid-points", "1000"])
+    assert code == 0, err
+    assert "skipped" not in out
     _, rows = parse_table(out)
+    assert len(rows) == 2
     for row in rows:
-        assert row[4] == "skipped" and row[6] == "skipped"
+        assert float(row[6]) <= 1e-4
+
+
+def json_matches_csv(argv):
+    """Run argv in csv and in json, require each json row to hold its csv
+    row's values as raw numbers, and return (json rows, csv rows)."""
+    code, csv_out, _ = run_main(argv)
+    code_j, json_out, _ = run_main(argv + ["--format", "json"])
+    assert code == 0 and code_j == 0
+    header, rows = parse_table(csv_out)
+    cells = json.loads(json_out)
+    assert len(cells) == len(rows)
+    for cell, row in zip(cells, rows):
+        assert list(cell) == header
+        assert [cell[key] for key in header] == [float(text) for text in row], argv
+    return cells, rows
 
 
 def test_verify_json_round_trip():
-    args = ["verify", "--alpha", "1.2,0.002", "--nmax", "1", "--grid-points", "1000"]
-    _, csv_out, _ = run_main(args)
-    _, json_out, _ = run_main(args + ["--format", "json"])
-    _, csv_rows = parse_table(csv_out)
-    cells = json.loads(json_out)
-    assert len(cells) == len(csv_rows)
+    cells, csv_rows = json_matches_csv(["verify", "--alpha", "1.2,0.002", "--nmax", "1",
+                                        "--grid-points", "1000"])
     for cell, row in zip(cells, csv_rows):
         assert str(cell["n"]) == row[0]
         assert float(cell["e_closed"]) == pytest.approx(float(row[2]), abs=1e-8)
-        if row[4] == "skipped":
-            assert cell["e_oracle"] is None
-        else:
-            assert float(cell["e_oracle"]) == pytest.approx(float(row[4]), abs=1e-8)
+        assert isinstance(cell["e_oracle"], float)
+        assert cell["e_oracle"] == pytest.approx(float(row[4]), abs=1e-8)
+    # with table2's own test, every command's json output is checked
+    json_matches_csv(["limit"])
+    json_matches_csv(["wavefunction", "--n", "2", "--points", "50", "--alpha", "0.02"])
 
 
 def test_verify_rejects_coarse_grid():

@@ -10,7 +10,6 @@ from helpers import count_sign_changes, reference_potential
 from ptnu import (
     PtPotential,
     RadialOperator,
-    converge_eigenvalue,
     discretize,
     eigenvector,
     energy_closed_form,
@@ -141,18 +140,16 @@ def test_richardson_rejects_nonfinite():
         richardson(math.nan, 1.0)
 
 
-def test_converge_eigenvalue_order_and_value():
-    converged = converge_eigenvalue(PT_REF, 0, 1001)
-    assert 1.7 <= converged.order_estimate <= 2.3
+def test_step_halving_order_and_value():
+    # steps 2h, h and h/2: 500, 1001 and 2003 interior points on one well
+    e_2h, e_h, e_h2 = (lowest_eigenvalues(discretize(PT_REF, n), 1)[0] for n in (500, 1001, 2003))
+    order = math.log2(abs(e_2h - e_h) / abs(e_h - e_h2))
+    assert 1.7 <= order <= 2.3
     exact = 2.0 * PT_REF.m * energy_closed_form(PT_REF, 0)
-    assert converged.extrapolated == pytest.approx(exact, rel=1e-7)
-    assert abs(converged.extrapolated - exact) < abs(converged.eps_h - exact)
-    assert abs(converged.eps_h2 - exact) < abs(converged.eps_h - exact)
-
-
-def test_converge_eigenvalue_requires_odd_grid():
-    with pytest.raises(DomainError):
-        converge_eigenvalue(PT_REF, 0, 1000)
+    extrapolated = richardson(e_h, e_h2)
+    assert extrapolated == pytest.approx(exact, rel=1e-7)
+    assert abs(extrapolated - exact) < abs(e_h - exact)
+    assert abs(e_h2 - exact) < abs(e_h - exact)
 
 
 # --- eigenvectors ------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 
 from ptnu import (
     QuadratureRule,
-    binomial,
     composite_rule,
     gauss_rule,
     integrate,
@@ -76,7 +75,9 @@ def test_jacobi_endpoint_binomial():
     for n in range(9):
         a = rng.uniform(-0.9, 10.0)
         b = rng.uniform(-0.9, 10.0)
-        assert jacobi(n, a, b, 1.0) == pytest.approx(binomial(n + a, n), rel=1e-12)
+        # P_n(1) = C(n + a, n), from log-gamma as in acceptance criterion 6
+        expected = math.exp(math.lgamma(n + a + 1) - math.lgamma(n + 1.0) - math.lgamma(a + 1.0))
+        assert jacobi(n, a, b, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_jacobi_orthogonality_via_integrate():
