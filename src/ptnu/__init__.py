@@ -20,12 +20,12 @@ _EXPORTS = {
     ),
     "poschl_teller": (
         "BoundState", "PtPotential", "alpha_zero_limit", "energy_closed_form",
-        "energy_via_nu", "normalize", "normalized_wavefunction", "potential_value",
-        "radial_wavefunction", "spectrum_table", "to_nu_family",
+        "energy_via_nu", "normalize", "normalized_wavefunction", "radial_wavefunction",
+        "spectrum_table", "to_nu_family",
     ),
     "special_functions": (
         "QuadratureRule", "composite_rule", "gauss_rule", "integrate",
-        "jacobi", "jacobi_log_norm", "jacobi_scaled", "jacobi_sum",
+        "jacobi", "jacobi_log_norm", "jacobi_scaled",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -25,6 +25,8 @@ from .poschl_teller import (
 
 DEFAULT_ALPHAS = (1.2, 0.8, 0.4, 0.2, 0.02, 0.002)
 ORACLE_BAND = 1e-4
+# Largest oracle error allowed, as a fraction of the gap E_{n+1} - E_n.
+ORACLE_SPACING = 1e-3
 FORMATS = ("csv", "tsv", "json")
 
 
@@ -131,7 +133,9 @@ def cmd_verify(config: RunConfig, out=None) -> int:
 
     The oracle solves every alpha on N and 2N+1 interior points and
     Richardson-combines the pair; exit 1 when any deviation leaves its
-    band (`tol` for the root, ORACLE_BAND for the oracle).
+    band (`tol` for the root, ORACLE_BAND for the oracle), or when the
+    oracle misses the closed form by more than ORACLE_SPACING of the gap
+    to the next level.
     """
     from .oracle import discretize, lowest_eigenvalues, richardson
 
@@ -153,7 +157,9 @@ def cmd_verify(config: RunConfig, out=None) -> int:
             e_nu = energy_via_nu(p, n)
             nu_dev = abs(e_nu - e_closed) / abs(e_closed)
             oracle_dev = abs(e_or - e_closed) / abs(e_closed)
-            if nu_dev > config.tol or oracle_dev > ORACLE_BAND:
+            gap = energy_closed_form(p, n + 1) - e_closed
+            if (nu_dev > config.tol or oracle_dev > ORACLE_BAND
+                    or abs(e_or - e_closed) > ORACLE_SPACING * gap):
                 violated = True
             rows.append([str(n), str(alpha), _fmt(e_closed, config.precision),
                          _fmt(e_nu, config.precision), _fmt(e_or, config.precision),
@@ -177,21 +183,29 @@ def cmd_limit(config: RunConfig, out=None) -> int:
     return 0
 
 
-_CONFIG_KEYS = {
-    "m": float, "v1": float, "v2": float, "alpha": str,
-    "nmax": int, "grid_points": int, "tol": float,
-    "format": str, "precision": int,
+def _parse_alphas(raw: str) -> tuple[float, ...]:
+    values = tuple(float(x.strip()) for x in raw.split(",") if x.strip())
+    if not values:
+        raise ValueError(f"empty list {raw!r}")
+    return values
+
+
+# Config-file key, which is also the flag's dest: (RunConfig field, parser
+# of its text).  Flags and file lines both pass through this one table.
+_KEYS = {
+    "m": ("m", float), "v1": ("v1", float), "v2": ("v2", float),
+    "alpha": ("alphas", _parse_alphas), "nmax": ("n_max", int),
+    "grid_points": ("grid_points", int), "tol": ("tol", float),
+    "format": ("format", str), "precision": ("precision", int),
 }
 
 
-def _parse_alphas(raw: str) -> tuple[float, ...]:
+def _parse(values: dict, key: str, raw: str, where: str = "") -> None:
+    field, parse = _KEYS[key]
     try:
-        values = tuple(float(x.strip()) for x in raw.split(",") if x.strip())
+        values[field] = parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"bad alpha list {raw!r}: {exc}") from exc
-    if not values:
-        raise ConfigError(f"bad alpha list {raw!r}: empty")
-    return values
+        raise ConfigError(f"{where}bad value for {key}: {exc}") from exc
 
 
 def _load_config_file(path: str) -> dict:
@@ -206,53 +220,38 @@ def _load_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
                 key, _, raw = line.partition("=")
                 key = key.strip()
-                raw = raw.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _KEYS:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-                try:
-                    values[key] = _CONFIG_KEYS[key](raw)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from exc
+                _parse(values, key, raw.strip(), f"{path}:{line_no}: ")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config is not None:
-        file_values = _load_config_file(args.config)
-        if "alpha" in file_values:
-            file_values["alphas"] = _parse_alphas(file_values.pop("alpha"))
-        if "nmax" in file_values:
-            file_values["n_max"] = file_values.pop("nmax")
-        config = replace(config, **file_values)
-    overrides = {}
-    for flag, field in (("m", "m"), ("v1", "v1"), ("v2", "v2"), ("nmax", "n_max"),
-                        ("grid_points", "grid_points"), ("tol", "tol"),
-                        ("format", "format"), ("precision", "precision")):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
-    if args.alpha is not None:
-        overrides["alphas"] = _parse_alphas(args.alpha)
-    return replace(config, **overrides).validate()
+    """File entries, then flags over them, in one dict of RunConfig fields."""
+    values = {} if args.config is None else _load_config_file(args.config)
+    for key in _KEYS:
+        raw = getattr(args, key)
+        if raw is not None:
+            _parse(values, key, raw)
+    return replace(RunConfig(), **values).validate()
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", type=float, default=None, help="mass (fm^-1)")
-    common.add_argument("--v1", type=float, default=None, help="first well depth (fm^-1)")
-    common.add_argument("--v2", type=float, default=None, help="second well depth (fm^-1)")
+    common.add_argument("--m", default=None, help="mass (fm^-1)")
+    common.add_argument("--v1", default=None, help="first well depth (fm^-1)")
+    common.add_argument("--v2", default=None, help="second well depth (fm^-1)")
     common.add_argument("--alpha", default=None, metavar="LIST",
                         help="comma-separated range parameters (fm^-1)")
-    common.add_argument("--nmax", type=int, default=None, help="highest quantum number")
-    common.add_argument("--grid-points", dest="grid_points", type=int, default=None,
+    common.add_argument("--nmax", default=None, help="highest quantum number")
+    common.add_argument("--grid-points", dest="grid_points", default=None,
                         help="finite-difference interior grid size")
-    common.add_argument("--tol", type=float, default=None,
+    common.add_argument("--tol", default=None,
                         help="relative band for the closed-form/root-finder comparison")
     common.add_argument("--format", choices=FORMATS, default=None)
-    common.add_argument("--precision", type=int, default=None, help="decimal digits [1, 17]")
+    common.add_argument("--precision", default=None, help="decimal digits [1, 17]")
     common.add_argument("--config", default=None, metavar="PATH",
                         help="key=value file; flags override its entries")
 

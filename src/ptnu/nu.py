@@ -29,10 +29,13 @@ from .special_functions import jacobi_scaled
 
 
 class Branch(Enum):
-    """Sign choice for k: PRINCIPAL takes the minus root, SECONDARY the plus."""
+    """Sign choice for k: PRINCIPAL takes the minus root, SECONDARY the plus.
 
-    PRINCIPAL = "principal"
-    SECONDARY = "secondary"
+    The value is the sign of every a3*sqrt(a8) and sqrt(a8*a9) term.
+    """
+
+    PRINCIPAL = 1.0
+    SECONDARY = -1.0
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,7 @@ class NuDerived:
     Under SECONDARY, a10..a13 hold the starred variants; a4..a9 are
     branch-independent. The source coefficients ride along because the
     downstream formulas still need a2 and a3; so do s8 = sqrt(a8),
-    s9 = sqrt(a9), and sign, +1 under PRINCIPAL and -1 under SECONDARY:
-    the sign of every a3*s8 and sqrt(a8*a9) term.
+    s9 = sqrt(a9), and sign, the value of the `Branch`.
     """
 
     coeffs: NuCoefficients
@@ -78,7 +80,6 @@ class NuDerived:
     a12: float
     a13: float
     k: float
-    branch: Branch
     s8: float
     s9: float
     sign: float
@@ -101,13 +102,13 @@ def _roots(c: NuCoefficients) -> tuple[float, float, float, float, float, float,
 def derive_constants(c: NuCoefficients, b: Branch = Branch.PRINCIPAL) -> NuDerived:
     """Run the constant pipeline a4..a13 for the requested branch; raises as `_roots`."""
     a4, a5, a6, a7, a8, a9, s8, s9 = _roots(c)
-    sign = 1.0 if b is Branch.PRINCIPAL else -1.0
+    sign = b.value
     k = -(a7 + 2.0 * c.a3 * a8) - sign * 2.0 * math.sqrt(a8 * a9)
     a10 = c.a1 + 2.0 * a4 + sign * 2.0 * s8
     a11 = c.a2 - 2.0 * a5 + 2.0 * (s9 + sign * c.a3 * s8)
     a12 = a4 + sign * s8
     a13 = a5 - (s9 + sign * c.a3 * s8)
-    return NuDerived(c, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, k, b, s8, s9, sign)
+    return NuDerived(c, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, k, s8, s9, sign)
 
 
 def tau_prime(d: NuDerived) -> float:
@@ -135,7 +136,7 @@ def quantization_residual(c: NuCoefficients, n: int, b: Branch = Branch.PRINCIPA
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
     _, a5, _, a7, a8, a9, s8, s9 = _roots(c)
-    sign = 1.0 if b is Branch.PRINCIPAL else -1.0
+    sign = b.value
     return (c.a2 * n - (2.0 * n + 1.0) * a5 + (2.0 * n + 1.0) * (s9 + sign * c.a3 * s8)
             + n * (n - 1.0) * c.a3 + a7 + 2.0 * c.a3 * a8 + sign * 2.0 * math.sqrt(a8 * a9))
 
@@ -157,20 +158,20 @@ class SpectralFamily:
         x1, x2, x3 = self.xi_map(eps)
         return NuCoefficients(self.a1, self.a2, self.a3, x1, x2, x3)
 
-    def residual(self, eps: float, n: int, b: Branch = Branch.PRINCIPAL) -> float:
-        return quantization_residual(self.coefficients(eps), n, b)
+    def residual(self, eps: float, n: int) -> float:
+        return quantization_residual(self.coefficients(eps), n)
 
 
-def solve_energy(f: SpectralFamily, n: int, b: Branch, bracket: tuple[float, float],
-                 tol: float = 1e-12, max_iter: int = 200,
-                 ends: tuple[float, float] | None = None) -> float:
-    """Root of the termination condition in eps over the given bracket.
+def solve_energy(f: SpectralFamily, n: int, bracket: tuple[float, float],
+                 tol: float = 1e-12, ends: tuple[float, float] | None = None) -> float:
+    """Root in eps of the principal-branch termination condition over the bracket.
 
     Probes three points first: if they are collinear the residual is
     treated as affine in eps and the root is taken in a single linear
     step plus one secant polish.  Otherwise requires a sign change over
     the bracket and closes in with bisection-safeguarded secant steps.
-    Terminates when |residual| <= tol.
+    Terminates when |residual| <= tol; raises NonConvergence after 200
+    such steps.
 
     `ends`, when given, is (r_lo, r_hi) already known at the bracket ends;
     those two are then not evaluated again.
@@ -180,9 +181,9 @@ def solve_energy(f: SpectralFamily, n: int, b: Branch, bracket: tuple[float, flo
     lo, hi = bracket
     if not (lo < hi):
         raise DomainError(f"empty bracket {bracket}")
-    r_lo, r_hi = ends if ends is not None else (f.residual(lo, n, b), f.residual(hi, n, b))
+    r_lo, r_hi = ends if ends is not None else (f.residual(lo, n), f.residual(hi, n))
     mid = 0.5 * (lo + hi)
-    r_mid = f.residual(mid, n, b)
+    r_mid = f.residual(mid, n)
     scale = max(abs(r_lo), abs(r_hi), abs(r_mid), 1.0)
 
     # affine fast path: midpoint residual collinear with the endpoints
@@ -190,11 +191,11 @@ def solve_energy(f: SpectralFamily, n: int, b: Branch, bracket: tuple[float, flo
         slope = (r_hi - r_lo) / (hi - lo)
         eps = lo - r_lo / slope
         if lo <= eps <= hi:
-            r = f.residual(eps, n, b)
+            r = f.residual(eps, n)
             if r != 0.0 and slope != 0.0:
                 polished = eps - r / slope
                 if polished != eps and lo <= polished <= hi:
-                    r_polished = f.residual(polished, n, b)
+                    r_polished = f.residual(polished, n)
                     if abs(r_polished) < abs(r):
                         eps, r = polished, r_polished
             if abs(r) <= tol:
@@ -210,7 +211,7 @@ def solve_energy(f: SpectralFamily, n: int, b: Branch, bracket: tuple[float, flo
     a, fa = lo, r_lo
     c, fc = hi, r_hi
     x, fx = mid, r_mid
-    for it in range(max_iter):
+    for it in range(200):
         if abs(fx) <= tol:
             return x
         if fa * fx < 0.0:
@@ -225,8 +226,8 @@ def solve_energy(f: SpectralFamily, n: int, b: Branch, bracket: tuple[float, flo
                 x = a + 0.5 * width
         else:
             x = a + 0.5 * width
-        fx = f.residual(x, n, b)
-    raise NonConvergence(f"no residual <= {tol} within {max_iter} iterations")
+        fx = f.residual(x, n)
+    raise NonConvergence(f"no residual <= {tol} within 200 iterations")
 
 
 def eigenfunction_factors(d: NuDerived) -> tuple[float, float, float, float]:

@@ -32,15 +32,13 @@ class RadialOperator:
     h: float
     diag: np.ndarray
     offdiag: float
-    domain: tuple[float, float]
 
 
 def discretize(p: PtPotential, n_points: int) -> RadialOperator:
     """Three-point operator for the reduced equation with eps = 2mE."""
     if n_points < 100:
         raise GridTooSmall(f"need n_points >= 100, got {n_points}")
-    length = p.r_max
-    h = length / (n_points + 1)
+    h = p.r_max / (n_points + 1)
     r = h * np.arange(1, n_points + 1)
     v_prime = p.v1_prime / np.sin(p.alpha * r) ** 2 + p.v2_prime / np.cos(p.alpha * r) ** 2
     if not np.all(np.isfinite(v_prime)):
@@ -50,7 +48,6 @@ def discretize(p: PtPotential, n_points: int) -> RadialOperator:
         h=h,
         diag=2.0 / (h * h) + v_prime,
         offdiag=-1.0 / (h * h),
-        domain=(0.0, length),
     )
 
 
@@ -71,12 +68,12 @@ def lowest_eigenvalues(op: RadialOperator, count: int) -> list[float]:
     return values.tolist()
 
 
-def richardson(e_h: float, e_h2: float, order: int = 2) -> float:
-    """Eliminate the leading h^order error from a step-halving pair."""
+def richardson(e_h: float, e_h2: float) -> float:
+    """Eliminate the leading h^2 error of the three-point operator from a
+    step-halving pair."""
     if not (math.isfinite(e_h) and math.isfinite(e_h2)):
         raise NonFinite(f"need finite inputs, got {e_h}, {e_h2}")
-    factor = 2.0 ** order
-    return (factor * e_h2 - e_h) / (factor - 1.0)
+    return (4.0 * e_h2 - e_h) / 3.0
 
 
 def eigenvector(op: RadialOperator, eigenvalue: float) -> np.ndarray:

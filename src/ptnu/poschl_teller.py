@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .nu import (Branch, NuDerived, SpectralFamily, derive_constants, eigenfunction_factors,
+from .nu import (NuDerived, SpectralFamily, derive_constants, eigenfunction_factors,
                  evaluate_eigenfunction, solve_energy)
 from .special_functions import jacobi_log_norm
 
@@ -66,14 +66,6 @@ class BoundState:
     energy: float
     eps: float
     norm: float
-
-
-def potential_value(p: PtPotential, r: float) -> float:
-    """V(r) = V1/sin^2(alpha r) + V2/cos^2(alpha r) inside the well."""
-    if not (0.0 < r < p.r_max):
-        raise DomainError(f"r={r} outside the well (0, {p.r_max})")
-    a_r = p.alpha * r
-    return p.v1 / math.sin(a_r) ** 2 + p.v2 / math.cos(a_r) ** 2
 
 
 def to_nu_family(p: PtPotential) -> SpectralFamily:
@@ -131,7 +123,7 @@ def energy_via_nu(p: PtPotential, n: int) -> float:
     else:
         r_hi = family.residual(hi, n)
     tol = 1e-12 * max(abs(r_lo), abs(r_hi), 1.0)
-    eps = solve_energy(family, n, Branch.PRINCIPAL, (lo, hi), tol=tol, ends=(r_lo, r_hi))
+    eps = solve_energy(family, n, (lo, hi), tol=tol, ends=(r_lo, r_hi))
     return eps / (2.0 * p.m)
 
 

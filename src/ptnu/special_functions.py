@@ -1,8 +1,7 @@
 """Jacobi polynomials and their norms, plus composite Gauss quadrature.
 
-Production evaluation goes through the three-term recurrence; the explicit
-finite-sum form is kept as an independent small-n oracle for testing, and
-the quadrature as an independent certifier of integrals.
+Evaluation goes through the three-term recurrence, and the norms come from
+log-gamma values; the quadrature is an independent certifier of integrals.
 """
 from __future__ import annotations
 
@@ -85,49 +84,6 @@ def jacobi_log_norm(n: int, a: float, b: float) -> float:
     tail = math.lgamma(c + 1.0) if n == 0 else math.log(2.0 * n + c) + math.lgamma(n + c)
     return (c * math.log(2.0) + math.lgamma(n + a + 1.0) + math.lgamma(n + b + 1.0)
             - math.lgamma(n + 1.0) - tail)
-
-
-def _binom_product(r: np.longdouble, k: int) -> np.longdouble:
-    """C(r, k) as the product prod_j (r - k + j) / j, kept in extended
-    precision for the oracle sums (k stays small, so no overflow)."""
-    import numpy as np
-
-    out = np.longdouble(1.0)
-    for j in range(1, k + 1):
-        out = out * (r - k + j) / j
-    return out
-
-
-def jacobi_sum(n: int, a: float, b: float, x: float) -> float:
-    """Explicit binomial finite-sum form of P_n^{(a,b)}(x); test oracle only.
-
-    P_n = sum_k C(n+a, n-k) C(n+b, k) ((x-1)/2)^k ((x+1)/2)^(n-k)
-
-    The alternating terms can exceed the result by orders of magnitude, so
-    the sum runs in extended precision to stay trustworthy as an oracle.
-    """
-    if n < 0 or n > 20:
-        raise InvalidIndex(f"finite-sum oracle limited to 0 <= n <= 20, got {n}")
-    if a <= -1.0 or b <= -1.0:
-        raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
-    import numpy as np
-
-    a_l = np.longdouble(a)
-    b_l = np.longdouble(b)
-    lo = (np.longdouble(x) - 1) / 2
-    hi = (np.longdouble(x) + 1) / 2
-    total = np.longdouble(0.0)
-    for k in range(n + 1):
-        term = _binom_product(n + a_l, n - k) * _binom_product(n + b_l, k)
-        total += term * _signed_pow(lo, k) * _signed_pow(hi, n - k)
-    return float(total)
-
-
-def _signed_pow(base: float, p: int) -> float:
-    # 0**0 == 1 by polynomial convention
-    if p == 0:
-        return 1.0
-    return base ** p
 
 
 @dataclass(frozen=True)

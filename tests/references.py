@@ -1,0 +1,65 @@
+"""Independent references that only the tests use.
+
+The explicit finite-sum form of the Jacobi polynomials checks the
+three-term recurrence in `ptnu.special_functions`, and `potential_value`
+evaluates the well pointwise for the limit-law and floor checks.  Neither
+runs through the package code it checks: this module imports only math,
+numpy and `ptnu.errors`.
+"""
+import math
+
+import numpy as np
+
+from ptnu.errors import DomainError, InvalidIndex
+
+
+def _binom_product(r: np.longdouble, k: int) -> np.longdouble:
+    """C(r, k) as the product prod_j (r - k + j) / j, kept in extended
+    precision for the oracle sums (k stays small, so no overflow)."""
+    import numpy as np
+
+    out = np.longdouble(1.0)
+    for j in range(1, k + 1):
+        out = out * (r - k + j) / j
+    return out
+
+
+def jacobi_sum(n: int, a: float, b: float, x: float) -> float:
+    """Explicit binomial finite-sum form of P_n^{(a,b)}(x); test oracle only.
+
+    P_n = sum_k C(n+a, n-k) C(n+b, k) ((x-1)/2)^k ((x+1)/2)^(n-k)
+
+    The alternating terms can exceed the result by orders of magnitude, so
+    the sum runs in extended precision to stay trustworthy as an oracle.
+    """
+    if n < 0 or n > 20:
+        raise InvalidIndex(f"finite-sum oracle limited to 0 <= n <= 20, got {n}")
+    if a <= -1.0 or b <= -1.0:
+        raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
+    import numpy as np
+
+    a_l = np.longdouble(a)
+    b_l = np.longdouble(b)
+    lo = (np.longdouble(x) - 1) / 2
+    hi = (np.longdouble(x) + 1) / 2
+    total = np.longdouble(0.0)
+    for k in range(n + 1):
+        term = _binom_product(n + a_l, n - k) * _binom_product(n + b_l, k)
+        total += term * _signed_pow(lo, k) * _signed_pow(hi, n - k)
+    return float(total)
+
+
+def _signed_pow(base: float, p: int) -> float:
+    # 0**0 == 1 by polynomial convention
+    if p == 0:
+        return 1.0
+    return base ** p
+
+
+def potential_value(p, r: float) -> float:
+    """V(r) = V1/sin^2(alpha r) + V2/cos^2(alpha r) inside the well of the
+    `ptnu.PtPotential` p."""
+    if not (0.0 < r < p.r_max):
+        raise DomainError(f"r={r} outside the well (0, {p.r_max})")
+    a_r = p.alpha * r
+    return p.v1 / math.sin(a_r) ** 2 + p.v2 / math.cos(a_r) ** 2

@@ -25,7 +25,6 @@ from ptnu import (
     energy_via_nu,
     integrate,
     jacobi,
-    jacobi_sum,
     lowest_eigenvalues,
     normalized_wavefunction,
     ode_residual,
@@ -35,6 +34,7 @@ from ptnu import (
     tau_prime,
     to_nu_family,
 )
+from references import jacobi_sum
 
 ORACLE_ALPHAS = (1.2, 0.8, 0.4)
 

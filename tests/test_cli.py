@@ -174,11 +174,16 @@ def test_verify_oracle_alphas_pass():
 
 
 def test_verify_unachievable_band_fails():
-    # sub-ulp relative band: no root-finder can satisfy it
-    code, out, _ = run_main(["verify", "--alpha", "0.002,0.02", "--nmax", "6",
-                             "--grid-points", "1000", "--tol", "1e-17"])
-    assert code == 1
-    assert out  # report still printed
+    for argv in (
+            # sub-ulp relative band: no root-finder can satisfy it
+            ["verify", "--alpha", "0.002,0.02", "--nmax", "6", "--grid-points", "1000",
+             "--tol", "1e-17"],
+            # inside ORACLE_BAND, but 3e-3 of the level spacing off at n = 6
+            ["verify", "--m", "20", "--v1", "10", "--v2", "10", "--alpha", "0.002",
+             "--nmax", "6", "--grid-points", "1000"]):
+        code, out, _ = run_main(argv)
+        assert code == 1, argv
+        assert out  # report still printed
 
 
 def test_verify_small_alpha_certified():
@@ -274,9 +279,25 @@ def test_config_file_unknown_key(tmp_path):
 
 def test_config_file_bad_value(tmp_path):
     config = tmp_path / "bad.cfg"
-    config.write_text("m=ten\n")
-    code, _, err = run_main(["table2", "--config", str(config)])
-    assert code == 2
+    for text in ("m=ten\n", "alpha=1.2,x\n"):
+        config.write_text(text)
+        code, _, err = run_main(["table2", "--config", str(config)])
+        assert code == 2, text
+        assert str(config) in err, text
+
+
+def test_config_file_sets_every_key_as_the_flags_do(tmp_path):
+    settings = {"m": "12", "v1": "4", "v2": "6", "alpha": "1.1,0.5", "nmax": "1",
+                "grid_points": "1000", "tol": "1e-8", "format": "json", "precision": "12"}
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+    from_file = run_main(["verify", "--config", str(config)])
+    flags = [item for key, value in settings.items()
+             for item in (f"--{key.replace('_', '-')}", value)]
+    from_flags = run_main(["verify"] + flags)
+    assert from_file[0] == from_flags[0] == 0, from_file[2]
+    assert from_file[1] == from_flags[1]
+    assert json.loads(from_file[1])[0]["alpha"] == 1.1
 
 
 def test_invalid_flags_exit_two():

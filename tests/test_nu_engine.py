@@ -243,7 +243,7 @@ def test_residual_rejects_negative_n():
 
 def test_solve_energy_pt_ground_state():
     p = PT_REF
-    eps = solve_energy(to_nu_family(p), 0, Branch.PRINCIPAL, (0.0, 1000.0), tol=1e-9)
+    eps = solve_energy(to_nu_family(p), 0, (0.0, 1000.0), tol=1e-9)
     assert eps == pytest.approx(360.5120044, abs=1e-6)
     assert eps / (2.0 * p.m) == pytest.approx(18.02560022, abs=1e-7)
 
@@ -251,7 +251,7 @@ def test_solve_energy_pt_ground_state():
 def test_solve_energy_small_alpha():
     p = reference_potential(0.002)
     # residual noise floor ~ V'/alpha^2 * eps_machine, far above 1e-12
-    eps = solve_energy(to_nu_family(p), 0, Branch.PRINCIPAL, (0.0, 1000.0), tol=1e-4)
+    eps = solve_energy(to_nu_family(p), 0, (0.0, 1000.0), tol=1e-4)
     assert eps / (2.0 * p.m) == pytest.approx(15.74951629, abs=1e-7)
 
 
@@ -262,7 +262,7 @@ def test_solve_energy_agrees_with_closed_form_all_alphas():
         for n in range(7):
             expected = energy_closed_form(p, n)
             r_hi = abs(fam.residual(4.0 * p.m * expected, n))
-            eps = solve_energy(fam, n, Branch.PRINCIPAL, (0.0, 4.0 * p.m * expected),
+            eps = solve_energy(fam, n, (0.0, 4.0 * p.m * expected),
                                tol=1e-12 * max(1.0, r_hi))
             assert eps / (2.0 * p.m) == pytest.approx(expected, rel=1e-9)
 
@@ -270,12 +270,12 @@ def test_solve_energy_agrees_with_closed_form_all_alphas():
 def test_solve_energy_no_sign_change_constant_family():
     fam = SpectralFamily(a1=0.5, a2=1.0, a3=1.0, xi_map=lambda eps: (0.1, 0.2, 0.3))
     with pytest.raises(NoSignChange):
-        solve_energy(fam, 0, Branch.PRINCIPAL, (0.0, 100.0))
+        solve_energy(fam, 0, (0.0, 100.0))
 
 
 def test_solve_energy_root_outside_bracket():
     with pytest.raises(NoSignChange):
-        solve_energy(to_nu_family(PT_REF), 0, Branch.PRINCIPAL, (0.0, 100.0))
+        solve_energy(to_nu_family(PT_REF), 0, (0.0, 100.0))
 
 
 def test_solve_energy_nonconvergence_on_jump():
@@ -286,7 +286,7 @@ def test_solve_energy_nonconvergence_on_jump():
 
     fam = SpectralFamily(a1=1.0, a2=2.0, a3=0.0, xi_map=xi_map)
     with pytest.raises(NonConvergence):
-        solve_energy(fam, 0, Branch.PRINCIPAL, (0.0, 10.0), tol=1e-3, max_iter=80)
+        solve_energy(fam, 0, (0.0, 10.0), tol=1e-3)
 
 
 def test_solve_energy_rejects_bad_domain():
@@ -295,7 +295,7 @@ def test_solve_energy_rejects_bad_domain():
     with pytest.raises(DomainError):
         fam.coefficients(math.nan)
     with pytest.raises(DomainError):
-        solve_energy(fam, 0, Branch.PRINCIPAL, (0.0, 1.0), tol=-1.0)
+        solve_energy(fam, 0, (0.0, 1.0), tol=-1.0)
 
 
 # --- eigenfunction assembly --------------------------------------------------

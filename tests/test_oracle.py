@@ -28,7 +28,7 @@ def box_operator(length: float, n_points: int) -> RadialOperator:
     h = length / (n_points + 1)
     return RadialOperator(n_points=n_points, h=h,
                           diag=np.full(n_points, 2.0 / (h * h)),
-                          offdiag=-1.0 / (h * h), domain=(0.0, length))
+                          offdiag=-1.0 / (h * h))
 
 
 def box_discrete_eigenvalue(length: float, n_points: int, k: int) -> float:
@@ -43,7 +43,6 @@ def test_discretize_grid_spacing():
     op = discretize(PT_REF, 999)
     assert op.h == pytest.approx((math.pi / 2.4) / 1000.0, rel=1e-15)
     assert op.n_points == 999
-    assert op.domain == (0.0, PT_REF.r_max)
 
 
 def test_discretize_diag_at_midpoint():
@@ -101,7 +100,7 @@ def test_sturm_bisection_matches_dense_solver():
     rng = np.random.default_rng(17)
     diag = rng.uniform(0.0, 10.0, 200)
     offdiag = -0.8
-    op = RadialOperator(n_points=200, h=1.0, diag=diag, offdiag=offdiag, domain=(0.0, 1.0))
+    op = RadialOperator(n_points=200, h=1.0, diag=diag, offdiag=offdiag)
     dense = np.diag(diag) + np.diag(np.full(199, offdiag), 1) + np.diag(np.full(199, offdiag), -1)
     expected = np.sort(np.linalg.eigvalsh(dense))[:6]
     values = lowest_eigenvalues(op, 6)
@@ -169,8 +168,7 @@ def test_box_eigenvector_modes():
 
 def test_eigenvector_at_decoupled_diagonal_entry():
     # zero coupling: the eigenvalue equals a diagonal entry exactly
-    op = RadialOperator(n_points=200, h=1.0, diag=np.arange(200.0), offdiag=0.0,
-                        domain=(0.0, 1.0))
+    op = RadialOperator(n_points=200, h=1.0, diag=np.arange(200.0), offdiag=0.0)
     mode = eigenvector(op, 3.0)
     assert np.argmax(np.abs(mode)) == 3 and mode[3] == pytest.approx(1.0, abs=1e-12)
 

@@ -1,6 +1,9 @@
 """The package namespace resolves its public names on first access."""
+import ast
 import importlib
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +42,26 @@ def test_submodules_stay_reachable():
     assert cli is sys.modules["ptnu.cli"]
     for name in ("nu", "oracle", "poschl_teller", "special_functions", "errors"):
         assert getattr(ptnu, name) is importlib.import_module(f"ptnu.{name}")
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench wraps these names from outside; a missing one reads as absent
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.TARGETS.items():
+        for name in names:
+            assert callable(getattr(importlib.import_module(f"ptnu.{module}"), name)), (module, name)
+
+
+def test_test_references_stay_independent():
+    # a reference must not run through the package code it checks
+    path = Path(__file__).resolve().parent / "references.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math", "numpy", "ptnu.errors"}

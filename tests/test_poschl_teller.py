@@ -25,12 +25,12 @@ from ptnu import (
     normalized_wavefunction,
     nu,
     oracle,
-    potential_value,
     radial_wavefunction,
     spectrum_table,
     to_nu_family,
 )
 from ptnu.errors import DomainError
+from references import potential_value
 
 PT_REF = reference_potential(1.2)
 

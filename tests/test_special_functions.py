@@ -12,10 +12,10 @@ from ptnu import (
     jacobi,
     jacobi_log_norm,
     jacobi_scaled,
-    jacobi_sum,
 )
 from ptnu.errors import InvalidIndex, NonFinite
 from ptnu.special_functions import _panel_edges
+from references import jacobi_sum
 
 
 def test_jacobi_degree_zero_is_one():
