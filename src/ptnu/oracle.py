@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, GridTooSmall, NonFinite
-from .poschl_teller import PtPotential
+
+if TYPE_CHECKING:
+    from .poschl_teller import PtPotential
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,17 @@ def energy_via_nu(p: PtPotential, n: int) -> float:
     """Level E_n obtained by root-finding the template's termination
     condition; independent of the closed form except through the mapping.
 
+    The bracket is [0, hi0 * 4**k], hi0 = max(4 alpha^2, 1), with k the
+    first of at most 80 x4 steps at which the residual changes sign.
+    Under this mapping the residual is affine in eps (a9 does not depend
+    on eps; a7 falls as eps/(4 alpha^2)), so the line through the
+    residuals at 0 and hi0 predicts k, and the walk starts there.  The
+    prediction is taken a hair short (a root within ~1e-9 of a step
+    counts as below it), so rounding can start the walk early but never
+    past its first sign change: the bracket, its end residuals and every
+    energy are those of a walk from hi0.  hi0 * 4.0**k is the same float
+    as k multiplications by 4.
+
     The residual tolerance is 1e-12 of the residual magnitude at the
     bracket ends: the floating-point noise floor of the residual grows
     with the xi coefficients (~ V'/alpha^2), so a fixed absolute
@@ -115,12 +126,16 @@ def energy_via_nu(p: PtPotential, n: int) -> float:
     lo = 0.0
     hi = max(4.0 * p.alpha * p.alpha, 1.0)
     r_lo = family.residual(lo, n)
-    for _ in range(80):
+    r_hi = family.residual(hi, n)
+    root = hi * r_lo / (r_lo - r_hi) if r_hi != r_lo else 0.0
+    steps = 0
+    if root > hi:
+        steps = max(1, math.ceil(min(80.0, math.log(root / hi, 4.0) - 1e-9)))
+        hi *= 4.0 ** steps
         r_hi = family.residual(hi, n)
-        if r_hi * r_lo < 0.0:
-            break
+    while not r_hi * r_lo < 0.0 and steps < 80:
         hi *= 4.0
-    else:
+        steps += 1
         r_hi = family.residual(hi, n)
     tol = 1e-12 * max(abs(r_lo), abs(r_hi), 1.0)
     eps = solve_energy(family, n, (lo, hi), tol=tol, ends=(r_lo, r_hi))

@@ -1,4 +1,6 @@
 """Shared fixtures: published spectrum strings and small numeric utilities."""
+import itertools
+
 import numpy as np
 
 from ptnu import PtPotential, integrate
@@ -23,6 +25,9 @@ TABLE2_STRINGS = {
 }
 
 M_REF, V1_REF, V2_REF = 10.0, 5.0, 3.0
+
+# (m, V1, V2, alpha) at the corners of the box the property tests draw from
+BOX_CORNERS = tuple(itertools.product((1.0, 20.0), (0.5, 10.0), (0.5, 10.0), (0.002, 1.5)))
 
 
 def reference_potential(alpha: float) -> PtPotential:

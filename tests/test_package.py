@@ -65,3 +65,28 @@ def test_test_references_stay_independent():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported == {"math", "numpy", "ptnu.errors"}
+
+
+def test_three_routes_stay_independent():
+    # the oracle checks the NU engine and the closed form, so it must not run
+    # through either, and the NU root must not start from the closed form
+    package = Path(ptnu.__file__).resolve().parent
+    tree = ast.parse((package / "oracle.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            node.body = []  # read by type checkers only, never imported at run time
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert imported.isdisjoint({"nu", "poschl_teller", "energy_closed_form"}), imported
+
+    tree = ast.parse((package / "poschl_teller.py").read_text(encoding="utf-8"))
+    [body] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "energy_via_nu"]
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert named.isdisjoint({"energy_closed_form", "normalize", "_eigenfunction"}), named

@@ -2,10 +2,12 @@ import math
 import random
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from helpers import (
+    BOX_CORNERS,
     M_REF,
     TABLE2_ALPHAS,
     TABLE2_STRINGS,
@@ -172,6 +174,38 @@ def test_energy_via_nu_matches_closed_form_random_sweep():
         assert energy_via_nu(p, n) == pytest.approx(expected, rel=1e-9)
 
 
+def strength_form_energy(p, n):
+    """E_n = alpha^2/(2m) (kappa + lambda + 2n)^2 at 40 digits, with the
+    strengths kappa(kappa - 1) = 2mV1/alpha^2 and lambda(lambda - 1) =
+    2mV2/alpha^2; none of the closed form's rounding is shared."""
+    with mpmath.workdps(40):
+        m, alpha = mpmath.mpf(p.m), mpmath.mpf(p.alpha)
+
+        def strength(v):
+            return (1 + mpmath.sqrt(1 + 8 * m * mpmath.mpf(v) / alpha ** 2)) / 2
+
+        return alpha ** 2 / (2 * m) * (strength(p.v1) + strength(p.v2) + 2 * n) ** 2
+
+
+def test_small_alpha_levels_match_mpmath():
+    # at small alpha the level sits on the well floor and its alpha-dependence
+    # is a few parts in 1e4 of it, so a cancelling formula would show here
+    rng = random.Random(7)
+    cells = [(reference_potential(alpha), n) for alpha in TABLE2_ALPHAS for n in range(7)]
+    for alpha in (0.02, 0.002):
+        for _ in range(10):
+            p = PtPotential(rng.uniform(1.0, 20.0), rng.uniform(0.5, 10.0),
+                            rng.uniform(0.5, 10.0), alpha)
+            cells += [(p, n) for n in range(11)]
+    for p, n in cells:
+        exact = strength_form_energy(p, n)
+        with mpmath.workdps(40):
+            closed = abs(mpmath.mpf(energy_closed_form(p, n)) / exact - 1)
+            root = abs(mpmath.mpf(energy_via_nu(p, n)) / exact - 1)
+        assert closed <= 1e-13, (p, n, closed)
+        assert root <= 1e-12, (p, n, root)
+
+
 GOLDEN_ENERGIES = Path(__file__).resolve().parent / "golden" / "energy_via_nu.txt"
 GOLDEN_SEED = 20261018
 
@@ -212,16 +246,18 @@ def record_residual_probes(monkeypatch):
 
 
 def test_energy_via_nu_residual_budget(monkeypatch):
-    # the bracket search hands both end residuals to solve_energy; evaluating
-    # them again cost up to 12 per Table-2 root
+    # eps = 0, hi0, the x4 step the line through them predicts, then
+    # solve_energy's midpoint, root and polish; walking x4 from hi0 took up
+    # to 10 per Table-2 root and 11 at the corners of the property box
     probes = record_residual_probes(monkeypatch)
+    cells = ([(reference_potential(alpha), n) for alpha in TABLE2_ALPHAS for n in range(7)]
+             + [(PtPotential(*corner), n) for corner in BOX_CORNERS for n in range(11)])
     counts = []
-    for alpha in TABLE2_ALPHAS:
-        for n in range(7):
-            probes.clear()
-            energy_via_nu(reference_potential(alpha), n)
-            counts.append(len(probes))
-    assert max(counts) <= 10
+    for p, n in cells:
+        probes.clear()
+        energy_via_nu(p, n)
+        counts.append(len(probes))
+    assert max(counts) <= 6
 
 
 def test_energy_via_nu_never_repeats_a_probe(monkeypatch):

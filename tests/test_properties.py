@@ -1,20 +1,23 @@
 """Randomized properties over the paper's parameter space.
 
 Inputs are drawn from m in [1, 20], V1 and V2 in [0.5, 10] (all fm^-1),
-alpha log-uniform in [0.002, 1.5] fm^-1 and n in 0..6.  The draws are
-derandomized and no example database is kept, so every run checks the
-same examples.  The 16 corners of the box, at n = 6, are always checked
-too: random draws rarely reach them, and the oracle's error peaks there.
+alpha log-uniform in [0.002, 1.5] fm^-1 and n in 0..6 (0..10 for the NU
+bracket).  The draws are derandomized and no example database is kept,
+so every run checks the same examples.  The 16 corners of the box are
+always checked too: random draws rarely reach them, the oracle's error
+peaks there, and so do the residual magnitudes of the NU root.
 """
 import io
-import itertools
 import json
 import math
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ptnu import PtPotential, energy_closed_form, energy_via_nu, normalize
+from helpers import BOX_CORNERS
+from ptnu import PtPotential, energy_closed_form, energy_via_nu, normalize, nu, to_nu_family
 from ptnu.cli import RunConfig, cmd_verify
 from ptnu.errors import PtnuError
 
@@ -26,15 +29,18 @@ alphas = st.floats(math.log(0.002), math.log(1.5)).map(math.exp)
 levels = st.integers(0, 6)
 
 
-def at_box_corners(test):
-    for m, v1, v2, alpha in itertools.product((1.0, 20.0), (0.5, 10.0), (0.5, 10.0), (0.002, 1.5)):
-        test = example(m, v1, v2, alpha, 6)(test)
-    return test
+def at_box_corners(*ns):
+    def add_examples(test):
+        for corner in BOX_CORNERS:
+            for n in ns:
+                test = example(*corner, n)(test)
+        return test
+    return add_examples
 
 
 @DETERMINISTIC
 @given(masses, depths, depths, alphas, levels)
-@at_box_corners
+@at_box_corners(6)
 def test_verify_agrees_three_ways(m, v1, v2, alpha, n_max):
     # verify's default 2000 / 4001 oracle pair; a coarser grid misses the
     # spacing check at the box corners
@@ -55,7 +61,7 @@ def test_verify_agrees_three_ways(m, v1, v2, alpha, n_max):
 
 @DETERMINISTIC
 @given(masses, depths, depths, alphas, levels)
-@at_box_corners
+@at_box_corners(6)
 def test_results_are_finite_or_typed_errors(m, v1, v2, alpha, n):
     p = PtPotential(m, v1, v2, alpha)
     for compute in (energy_closed_form, energy_via_nu, normalize):
@@ -65,3 +71,45 @@ def test_results_are_finite_or_typed_errors(m, v1, v2, alpha, n):
             continue
         values = (result.energy, result.eps, result.norm) if compute is normalize else (result,)
         assert all(math.isfinite(v) for v in values)
+
+
+def walked_energy(p, n):
+    """energy_via_nu with its bracket found by multiplying hi by 4, probe by
+    probe, from max(4 alpha^2, 1) until the residual changes sign."""
+    family = to_nu_family(p)
+    hi = max(4.0 * p.alpha * p.alpha, 1.0)
+    r_lo = family.residual(0.0, n)
+    for _ in range(80):
+        r_hi = family.residual(hi, n)
+        if r_hi * r_lo < 0.0:
+            break
+        hi *= 4.0
+    else:
+        r_hi = family.residual(hi, n)
+    tol = 1e-12 * max(abs(r_lo), abs(r_hi), 1.0)
+    return nu.solve_energy(family, n, (0.0, hi), tol=tol, ends=(r_lo, r_hi)) / (2.0 * p.m)
+
+
+@DETERMINISTIC
+@given(masses, depths, depths, alphas, st.integers(0, 10))
+@at_box_corners(0, 10)
+def test_energy_via_nu_jumps_to_the_walked_bracket(m, v1, v2, alpha, n):
+    p = PtPotential(m, v1, v2, alpha)
+    with mock.patch.object(nu, "quantization_residual", wraps=nu.quantization_residual) as probe:
+        energy = energy_via_nu(p, n)
+    assert probe.call_count <= 6
+    assert energy == walked_energy(p, n)
+
+
+# roots within about 1e-15 of a x4 step hi0 * 4**k: a jump taken straight
+# past the predicted root lands one step beyond the walk's bracket here
+@pytest.mark.parametrize("m,v1,v2,alpha,n", [
+    (3.0, 0.7, 0.09049768902710102, 1.0, 0),
+    (1.0, 0.7, 0.010992006632826297, 0.5, 0),
+    (10.0, 0.7, 1.3845960299799969, 1.3, 0),
+    (1.0, 0.7, 53.349999999999945, 1.3, 3),
+    (1.0, 0.7, 12159.989999999965, 1.3, 3),
+])
+def test_energy_via_nu_keeps_the_walked_bracket_on_a_step(m, v1, v2, alpha, n):
+    p = PtPotential(m, v1, v2, alpha)
+    assert energy_via_nu(p, n) == walked_energy(p, n)
