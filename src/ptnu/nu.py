@@ -20,6 +20,7 @@ distinct constant sets and solution families, selected here by `Branch`.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -38,24 +39,39 @@ class Branch(Enum):
     SECONDARY = -1.0
 
 
-@dataclass(frozen=True)
-class NuCoefficients:
+def _check_fixed(a1: float, a2: float, a3: float) -> None:
+    if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
+        raise DomainError(f"a1, a2, a3 must be finite, got {(a1, a2, a3)}")
+    if a3 < 0.0:
+        raise DomainError(f"a3 must be >= 0, got {a3}")
+
+
+def _check_varying(x1: float, x2: float, x3: float) -> None:
+    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
+        raise DomainError(f"x1, x2, x3 must be finite, got {(x1, x2, x3)}")
+
+
+class NuCoefficients(namedtuple("NuCoefficients", "a1 a2 a3 x1 x2 x3")):
     """The six template inputs: a1, a2, a3 from the first-derivative and
-    leading polynomials, x1, x2, x3 from the potential-like polynomial."""
+    leading polynomials, x1, x2, x3 from the potential-like polynomial.
 
-    a1: float
-    a2: float
-    a3: float
-    x1: float
-    x2: float
-    x3: float
+    An immutable tuple (a1, a2, a3, x1, x2, x3) with named fields, so it
+    equals the plain 6-tuple of the same values.  Building one, directly
+    or through `_make` and `_replace`, raises DomainError unless all six
+    are finite and a3 >= 0.  `SpectralFamily` builds its records without
+    repeating the a1..a3 check: it checks them once, when it is built.
+    """
 
-    def __post_init__(self):
-        values = (self.a1, self.a2, self.a3, self.x1, self.x2, self.x3)
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError(f"coefficients must be finite, got {values}")
-        if self.a3 < 0.0:
-            raise DomainError(f"a3 must be >= 0, got {self.a3}")
+    __slots__ = ()
+
+    def __new__(cls, a1: float, a2: float, a3: float, x1: float, x2: float, x3: float):
+        _check_fixed(a1, a2, a3)
+        _check_varying(x1, x2, x3)
+        return tuple.__new__(cls, (a1, a2, a3, x1, x2, x3))
+
+    @classmethod
+    def _make(cls, iterable) -> NuCoefficients:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -88,12 +104,13 @@ class NuDerived:
 def _roots(c: NuCoefficients) -> tuple[float, float, float, float, float, float, float, float]:
     """Branch-independent (a4, a5, a6, a7, a8, a9, sqrt(a8), sqrt(a9)).  Raises
     NegativeDiscriminant when a8 < 0 or a9 < 0: the method then does not apply."""
-    a4 = 0.5 * (1.0 - c.a1)
-    a5 = 0.5 * (c.a2 - 2.0 * c.a3)
-    a6 = a5 * a5 + c.x1
-    a7 = 2.0 * a4 * a5 - c.x2
-    a8 = a4 * a4 + c.x3
-    a9 = c.a3 * a7 + c.a3 * c.a3 * a8 + a6
+    a1, a2, a3, x1, x2, x3 = c
+    a4 = 0.5 * (1.0 - a1)
+    a5 = 0.5 * (a2 - 2.0 * a3)
+    a6 = a5 * a5 + x1
+    a7 = 2.0 * a4 * a5 - x2
+    a8 = a4 * a4 + x3
+    a9 = a3 * a7 + a3 * a3 * a8 + a6
     if a8 < 0.0 or a9 < 0.0:
         raise NegativeDiscriminant(f"need a8 >= 0 and a9 >= 0, got a8={a8}, a9={a9}")
     return a4, a5, a6, a7, a8, a9, math.sqrt(a8), math.sqrt(a9)
@@ -131,7 +148,9 @@ def quantization_residual(c: NuCoefficients, n: int, b: Branch = Branch.PRINCIPA
     The secondary branch flips the signs of the a3*sqrt(a8) and
     2*sqrt(a8*a9) terms.  Equivalent to lambda_n - lambda with
     lambda = k + pi' and lambda_n = -n*tau' - n(n-1)/2 * sigma''.
-    Reads `_roots` directly: no `NuDerived` is built per probe in eps.
+
+    Checks only n: `c` was checked when it was built (a `NuCoefficients`
+    checks all six inputs, a `SpectralFamily` probe only x1..x3).
     """
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
@@ -145,8 +164,10 @@ def quantization_residual(c: NuCoefficients, n: int, b: Branch = Branch.PRINCIPA
 class SpectralFamily:
     """Template coefficients whose x1, x2, x3 depend on a spectral parameter.
 
-    xi_map must be deterministic; where it yields a non-finite x1..x3,
-    NuCoefficients refuses the coefficient set with a DomainError.
+    The fixed a1, a2, a3 are checked once, here: building a family raises
+    DomainError unless they are finite and a3 >= 0.  Each probe checks
+    only what xi_map(eps) returns and raises DomainError where x1..x3 is
+    not finite; xi_map must be deterministic.
     """
 
     a1: float
@@ -154,9 +175,14 @@ class SpectralFamily:
     a3: float
     xi_map: Callable[[float], tuple[float, float, float]]
 
+    def __post_init__(self):
+        _check_fixed(self.a1, self.a2, self.a3)
+
     def coefficients(self, eps: float) -> NuCoefficients:
         x1, x2, x3 = self.xi_map(eps)
-        return NuCoefficients(self.a1, self.a2, self.a3, x1, x2, x3)
+        _check_varying(x1, x2, x3)
+        # a1..a3 passed _check_fixed when the family was built
+        return tuple.__new__(NuCoefficients, (self.a1, self.a2, self.a3, x1, x2, x3))
 
     def residual(self, eps: float, n: int) -> float:
         return quantization_residual(self.coefficients(eps), n)

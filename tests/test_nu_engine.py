@@ -123,6 +123,8 @@ def test_coefficient_validation():
         NuCoefficients(1.0, 1.0, -0.1, 0.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         NuCoefficients(math.nan, 1.0, 1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        NuCoefficients(1.0, 1.0, 1.0, 0.0, -math.inf, 0.0)
 
 
 # --- k -----------------------------------------------------------------------
@@ -290,12 +292,61 @@ def test_solve_energy_nonconvergence_on_jump():
 
 
 def test_solve_energy_rejects_bad_domain():
-    # a non-finite eps reaches NuCoefficients, which refuses it
+    # a non-finite eps reaches the family's x1..x3 check, which refuses it
     fam = SpectralFamily(a1=0.5, a2=1.0, a3=1.0, xi_map=lambda eps: (eps, eps, 1.0))
     with pytest.raises(DomainError):
         fam.coefficients(math.nan)
     with pytest.raises(DomainError):
         solve_energy(fam, 0, (0.0, 1.0), tol=-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_residual_refuses_non_finite_xi(bad, slot):
+    # every probe checks the x1..x3 that xi_map hands back
+    def xi_map(eps):
+        xs = [eps, 0.5, 1.0]
+        xs[slot] = bad
+        return tuple(xs)
+
+    fam = SpectralFamily(a1=0.5, a2=1.0, a3=1.0, xi_map=xi_map)
+    with pytest.raises(DomainError):
+        fam.residual(1.0, 0)
+    with pytest.raises(DomainError):
+        fam.coefficients(1.0)
+
+
+@pytest.mark.parametrize("a1, a2, a3", [(0.5, 1.0, -0.1), (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                        (0.5, -math.inf, 1.0), (0.5, 1.0, math.nan)])
+def test_residual_refuses_bad_fixed_coefficients(a1, a2, a3):
+    # the fixed a1..a3 are checked once, when the family is built
+    with pytest.raises(DomainError):
+        SpectralFamily(a1=a1, a2=a2, a3=a3, xi_map=lambda eps: (eps, 0.5, 1.0)).residual(1.0, 0)
+
+
+def test_family_record_is_the_checked_record():
+    fam = SpectralFamily(a1=0.5, a2=1.0, a3=1.0, xi_map=lambda eps: (eps, 0.5, 1.0))
+    c = fam.coefficients(2.0)
+    assert type(c) is NuCoefficients
+    assert c == NuCoefficients(0.5, 1.0, 1.0, 2.0, 0.5, 1.0) == (0.5, 1.0, 1.0, 2.0, 0.5, 1.0)
+    assert (c.a1, c.a2, c.a3, c.x1, c.x2, c.x3) == (0.5, 1.0, 1.0, 2.0, 0.5, 1.0)
+
+
+def test_coefficient_record_is_immutable():
+    c = NuCoefficients(1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(AttributeError):
+        c.a3 = -1.0
+    with pytest.raises(AttributeError):
+        c.extra = 0.0
+    with pytest.raises(TypeError):
+        c[2] = -1.0
+    # the namedtuple helpers rebuild through the checks too
+    with pytest.raises(DomainError):
+        c._replace(a3=-1.0)
+    with pytest.raises(DomainError):
+        NuCoefficients._make((1.0, 1.0, 1.0, math.inf, 0.0, 0.0))
+    assert c._replace(x1=2.0) == (1.0, 1.0, 1.0, 2.0, 0.0, 0.0)
+    assert c == (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
 # --- eigenfunction assembly --------------------------------------------------

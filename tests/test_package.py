@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import TABLE2_ALPHAS, reference_potential
 import ptnu
 
 
@@ -44,15 +45,42 @@ def test_submodules_stay_reachable():
         assert getattr(ptnu, name) is importlib.import_module(f"ptnu.{name}")
 
 
-def test_benchmark_tracer_targets_resolve():
-    # perfbench wraps these names from outside; a missing one reads as absent
+def load_benchmark_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench wraps these names from outside; a missing one reads as absent
+    tracer = load_benchmark_tracer()
     for module, names in tracer.TARGETS.items():
         for name in names:
             assert callable(getattr(importlib.import_module(f"ptnu.{module}"), name)), (module, name)
+
+
+def test_benchmark_tracer_counts_every_residual_probe():
+    # perfbench's nu.residuals_per_root counts calls to nu.quantization_residual
+    # per nu.solve_energy; a probe that bypasses that name would read as 0
+    spans = load_benchmark_tracer().Tracer()
+    spans.install()
+    try:
+        assert spans.absent == set()
+        pt = importlib.import_module("ptnu.poschl_teller")
+        counts = []
+        for alpha in TABLE2_ALPHAS:
+            for n in range(7):
+                roots = spans.calls["nu.solve_energy"]
+                probes = spans.calls["nu.quantization_residual"]
+                pt.energy_via_nu(reference_potential(alpha), n)
+                assert spans.calls["nu.solve_energy"] == roots + 1, (alpha, n)
+                counts.append(spans.calls["nu.quantization_residual"] - probes)
+    finally:
+        spans.uninstall()
+    assert len(counts) == 42
+    assert 5 <= min(counts) and max(counts) <= 6, (min(counts), max(counts))
 
 
 def test_test_references_stay_independent():

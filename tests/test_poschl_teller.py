@@ -248,7 +248,8 @@ def record_residual_probes(monkeypatch):
 def test_energy_via_nu_residual_budget(monkeypatch):
     # eps = 0, hi0, the x4 step the line through them predicts, then
     # solve_energy's midpoint, root and polish; walking x4 from hi0 took up
-    # to 10 per Table-2 root and 11 at the corners of the property box
+    # to 10 per Table-2 root and 11 at the corners of the property box.
+    # The floor of 5 fails if the probes stop reaching nu.quantization_residual.
     probes = record_residual_probes(monkeypatch)
     cells = ([(reference_potential(alpha), n) for alpha in TABLE2_ALPHAS for n in range(7)]
              + [(PtPotential(*corner), n) for corner in BOX_CORNERS for n in range(11)])
@@ -257,7 +258,7 @@ def test_energy_via_nu_residual_budget(monkeypatch):
         probes.clear()
         energy_via_nu(p, n)
         counts.append(len(probes))
-    assert max(counts) <= 6
+    assert 5 <= min(counts) and max(counts) <= 6, (min(counts), max(counts))
 
 
 def test_energy_via_nu_never_repeats_a_probe(monkeypatch):
@@ -266,6 +267,7 @@ def test_energy_via_nu_never_repeats_a_probe(monkeypatch):
         for n in range(7):
             probes.clear()
             energy_via_nu(reference_potential(alpha), n)
+            assert probes, (alpha, n)
             assert len(set(probes)) == len(probes), (alpha, n, probes)
 
 
