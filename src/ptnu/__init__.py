@@ -10,7 +10,7 @@ from . import errors
 
 _EXPORTS = {
     "nu": (
-        "Branch", "NuCoefficients", "NuDerived", "SpectralFamily", "derive_constants",
+        "NuCoefficients", "NuDerived", "SpectralFamily", "derive_constants",
         "eigenfunction_factors", "evaluate_eigenfunction", "quantization_residual",
         "solve_energy", "tau_prime",
     ),

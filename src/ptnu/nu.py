@@ -7,36 +7,32 @@ Solves any problem that can be cast into the template
 
 by deriving the standard chain of constants a4..a13, evaluating the
 polynomial-termination condition that quantizes the spectral parameter,
-root-finding energies for a family parameterized by eps, and assembling
-the eigenfunction factors
+root-finding energies for a family parameterized by eps whose condition
+is affine in eps, and assembling the eigenfunction factors
 
     psi(s) = s^p1 * (1 - a3*s)^p2 * P_n^(ja, jb)(1 - 2*a3*s)
 
 for a3 > 0.
 
-Two admissible sign choices exist for the auxiliary constant k; they give
-distinct constant sets and solution families, selected here by `Branch`.
+The auxiliary constant k takes the minus root throughout: that principal
+choice gives the physical solution family, whose tau has negative slope.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from .errors import DomainError, NegativeDiscriminant, NonConvergence, NoSignChange, ZeroA3
 from .special_functions import jacobi_scaled
 
 
-class Branch(Enum):
-    """Sign choice for k: PRINCIPAL takes the minus root, SECONDARY the plus.
-
-    The value is the sign of every a3*sqrt(a8) and sqrt(a8*a9) term.
-    """
-
-    PRINCIPAL = 1.0
-    SECONDARY = -1.0
+def checked_record(name: str, fields: str):
+    """namedtuple base for a record whose subclass checks its fields in
+    `__new__`: `_make`, and so `_replace`, build through that check too."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 def _check_fixed(a1: float, a2: float, a3: float) -> None:
@@ -51,7 +47,7 @@ def _check_varying(x1: float, x2: float, x3: float) -> None:
         raise DomainError(f"x1, x2, x3 must be finite, got {(x1, x2, x3)}")
 
 
-class NuCoefficients(namedtuple("NuCoefficients", "a1 a2 a3 x1 x2 x3")):
+class NuCoefficients(checked_record("NuCoefficients", "a1 a2 a3 x1 x2 x3")):
     """The six template inputs: a1, a2, a3 from the first-derivative and
     leading polynomials, x1, x2, x3 from the potential-like polynomial.
 
@@ -69,40 +65,19 @@ class NuCoefficients(namedtuple("NuCoefficients", "a1 a2 a3 x1 x2 x3")):
         _check_varying(x1, x2, x3)
         return tuple.__new__(cls, (a1, a2, a3, x1, x2, x3))
 
-    @classmethod
-    def _make(cls, iterable) -> NuCoefficients:
-        return cls(*iterable)
 
+class NuDerived(namedtuple("NuDerived", "coeffs a4 a5 a6 a7 a8 a9 a10 a11 a12 a13 k s8 s9")):
+    """Derived constants a4..a13 and k, an immutable tuple with named fields.
 
-@dataclass(frozen=True)
-class NuDerived:
-    """Derived constants a4..a13 and the k value for one branch.
-
-    Under SECONDARY, a10..a13 hold the starred variants; a4..a9 are
-    branch-independent. The source coefficients ride along because the
-    downstream formulas still need a2 and a3; so do s8 = sqrt(a8),
-    s9 = sqrt(a9), and sign, the value of the `Branch`.
+    The source coefficients ride along because the downstream formulas
+    still need a2 and a3; so do s8 = sqrt(a8) and s9 = sqrt(a9).
     """
 
-    coeffs: NuCoefficients
-    a4: float
-    a5: float
-    a6: float
-    a7: float
-    a8: float
-    a9: float
-    a10: float
-    a11: float
-    a12: float
-    a13: float
-    k: float
-    s8: float
-    s9: float
-    sign: float
+    __slots__ = ()
 
 
 def _roots(c: NuCoefficients) -> tuple[float, float, float, float, float, float, float, float]:
-    """Branch-independent (a4, a5, a6, a7, a8, a9, sqrt(a8), sqrt(a9)).  Raises
+    """(a4, a5, a6, a7, a8, a9, sqrt(a8), sqrt(a9)).  Raises
     NegativeDiscriminant when a8 < 0 or a9 < 0: the method then does not apply."""
     a1, a2, a3, x1, x2, x3 = c
     a4 = 0.5 * (1.0 - a1)
@@ -116,38 +91,34 @@ def _roots(c: NuCoefficients) -> tuple[float, float, float, float, float, float,
     return a4, a5, a6, a7, a8, a9, math.sqrt(a8), math.sqrt(a9)
 
 
-def derive_constants(c: NuCoefficients, b: Branch = Branch.PRINCIPAL) -> NuDerived:
-    """Run the constant pipeline a4..a13 for the requested branch; raises as `_roots`."""
+def derive_constants(c: NuCoefficients) -> NuDerived:
+    """Run the constant pipeline a4..a13; raises as `_roots`."""
     a4, a5, a6, a7, a8, a9, s8, s9 = _roots(c)
-    sign = b.value
-    k = -(a7 + 2.0 * c.a3 * a8) - sign * 2.0 * math.sqrt(a8 * a9)
-    a10 = c.a1 + 2.0 * a4 + sign * 2.0 * s8
-    a11 = c.a2 - 2.0 * a5 + 2.0 * (s9 + sign * c.a3 * s8)
-    a12 = a4 + sign * s8
-    a13 = a5 - (s9 + sign * c.a3 * s8)
-    return NuDerived(c, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, k, s8, s9, sign)
+    k = -(a7 + 2.0 * c.a3 * a8) - 2.0 * math.sqrt(a8 * a9)
+    a10 = c.a1 + 2.0 * a4 + 2.0 * s8
+    a11 = c.a2 - 2.0 * a5 + 2.0 * (s9 + c.a3 * s8)
+    a12 = a4 + s8
+    a13 = a5 - (s9 + c.a3 * s8)
+    return NuDerived(c, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, k, s8, s9)
 
 
 def tau_prime(d: NuDerived) -> float:
-    """Slope of the linear tau polynomial for the branch.
+    """Slope of the linear tau polynomial.
 
     The method requires a negative slope for a physical solution family;
     the sign is a validity flag for the caller, not an error here.
     """
-    return -2.0 * d.coeffs.a3 - 2.0 * (d.s9 + d.sign * d.coeffs.a3 * d.s8)
+    return -2.0 * d.coeffs.a3 - 2.0 * (d.s9 + d.coeffs.a3 * d.s8)
 
 
-def quantization_residual(c: NuCoefficients, n: int, b: Branch = Branch.PRINCIPAL) -> float:
-    """Left-hand side of the termination condition; zero at a bound state.
-
-    Principal branch:
+def quantization_residual(c: NuCoefficients, n: int) -> float:
+    """Left-hand side of the termination condition; zero at a bound state:
 
         a2*n - (2n+1)*a5 + (2n+1)*(sqrt(a9) + a3*sqrt(a8)) + n(n-1)*a3
             + a7 + 2*a3*a8 + 2*sqrt(a8*a9)
 
-    The secondary branch flips the signs of the a3*sqrt(a8) and
-    2*sqrt(a8*a9) terms.  Equivalent to lambda_n - lambda with
-    lambda = k + pi' and lambda_n = -n*tau' - n(n-1)/2 * sigma''.
+    Equivalent to lambda_n - lambda with lambda = k + pi' and
+    lambda_n = -n*tau' - n(n-1)/2 * sigma''.
 
     Checks only n: `c` was checked when it was built (a `NuCoefficients`
     checks all six inputs, a `SpectralFamily` probe only x1..x3).
@@ -155,34 +126,34 @@ def quantization_residual(c: NuCoefficients, n: int, b: Branch = Branch.PRINCIPA
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
     _, a5, _, a7, a8, a9, s8, s9 = _roots(c)
-    sign = b.value
-    return (c.a2 * n - (2.0 * n + 1.0) * a5 + (2.0 * n + 1.0) * (s9 + sign * c.a3 * s8)
-            + n * (n - 1.0) * c.a3 + a7 + 2.0 * c.a3 * a8 + sign * 2.0 * math.sqrt(a8 * a9))
+    return (c.a2 * n - (2.0 * n + 1.0) * a5 + (2.0 * n + 1.0) * (s9 + c.a3 * s8)
+            + n * (n - 1.0) * c.a3 + a7 + 2.0 * c.a3 * a8 + 2.0 * math.sqrt(a8 * a9))
 
 
-@dataclass(frozen=True)
-class SpectralFamily:
+class SpectralFamily(checked_record("SpectralFamily", "a1 a2 a3 xi_map")):
     """Template coefficients whose x1, x2, x3 depend on a spectral parameter.
 
-    The fixed a1, a2, a3 are checked once, here: building a family raises
-    DomainError unless they are finite and a3 >= 0.  Each probe checks
-    only what xi_map(eps) returns and raises DomainError where x1..x3 is
-    not finite; xi_map must be deterministic.
+    An immutable tuple (a1, a2, a3, xi_map) with named fields.  The fixed
+    a1, a2, a3 are checked once, here: building a family, directly or
+    through `_make` and `_replace`, raises DomainError unless they are
+    finite and a3 >= 0.  Each probe checks only what xi_map(eps) returns
+    and raises DomainError where x1..x3 is not finite; xi_map must be
+    deterministic.
     """
 
-    a1: float
-    a2: float
-    a3: float
-    xi_map: Callable[[float], tuple[float, float, float]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_fixed(self.a1, self.a2, self.a3)
+    def __new__(cls, a1: float, a2: float, a3: float,
+                xi_map: Callable[[float], tuple[float, float, float]]):
+        _check_fixed(a1, a2, a3)
+        return tuple.__new__(cls, (a1, a2, a3, xi_map))
 
     def coefficients(self, eps: float) -> NuCoefficients:
-        x1, x2, x3 = self.xi_map(eps)
+        a1, a2, a3, xi_map = self
+        x1, x2, x3 = xi_map(eps)
         _check_varying(x1, x2, x3)
         # a1..a3 passed _check_fixed when the family was built
-        return tuple.__new__(NuCoefficients, (self.a1, self.a2, self.a3, x1, x2, x3))
+        return tuple.__new__(NuCoefficients, (a1, a2, a3, x1, x2, x3))
 
     def residual(self, eps: float, n: int) -> float:
         return quantization_residual(self.coefficients(eps), n)
@@ -190,14 +161,13 @@ class SpectralFamily:
 
 def solve_energy(f: SpectralFamily, n: int, bracket: tuple[float, float],
                  tol: float = 1e-12, ends: tuple[float, float] | None = None) -> float:
-    """Root in eps of the principal-branch termination condition over the bracket.
+    """Root in eps of a termination condition that is affine in eps.
 
-    Probes three points first: if they are collinear the residual is
-    treated as affine in eps and the root is taken in a single linear
-    step plus one secant polish.  Otherwise requires a sign change over
-    the bracket and closes in with bisection-safeguarded secant steps.
-    Terminates when |residual| <= tol; raises NonConvergence after 200
-    such steps.
+    Requires a sign change over the bracket (NoSignChange otherwise) and a
+    midpoint residual collinear with the two ends.  The root of the line
+    through the ends is then polished by one secant step and returned
+    once |residual| <= tol.  A midpoint off the line, or a residual still
+    above tol, raises NonConvergence: the condition is not affine there.
 
     `ends`, when given, is (r_lo, r_hi) already known at the bracket ends;
     those two are then not evaluated again.
@@ -208,52 +178,24 @@ def solve_energy(f: SpectralFamily, n: int, bracket: tuple[float, float],
     if not (lo < hi):
         raise DomainError(f"empty bracket {bracket}")
     r_lo, r_hi = ends if ends is not None else (f.residual(lo, n), f.residual(hi, n))
-    mid = 0.5 * (lo + hi)
-    r_mid = f.residual(mid, n)
-    scale = max(abs(r_lo), abs(r_hi), abs(r_mid), 1.0)
-
-    # affine fast path: midpoint residual collinear with the endpoints
-    if abs(r_mid - 0.5 * (r_lo + r_hi)) <= 1e-10 * scale and abs(r_hi - r_lo) > 0.0:
-        slope = (r_hi - r_lo) / (hi - lo)
-        eps = lo - r_lo / slope
-        if lo <= eps <= hi:
-            r = f.residual(eps, n)
-            if r != 0.0 and slope != 0.0:
-                polished = eps - r / slope
-                if polished != eps and lo <= polished <= hi:
-                    r_polished = f.residual(polished, n)
-                    if abs(r_polished) < abs(r):
-                        eps, r = polished, r_polished
-            if abs(r) <= tol:
-                return eps
-
-    if abs(r_lo) <= tol:
-        return lo
-    if abs(r_hi) <= tol:
-        return hi
     if r_lo * r_hi > 0.0:
         raise NoSignChange(f"residual has the same sign at both ends of {bracket}")
-
-    a, fa = lo, r_lo
-    c, fc = hi, r_hi
-    x, fx = mid, r_mid
-    for it in range(200):
-        if abs(fx) <= tol:
-            return x
-        if fa * fx < 0.0:
-            c, fc = x, fx
-        else:
-            a, fa = x, fx
-        width = c - a
-        if it % 2 == 0 and fc != fa:
-            # secant through the bracket ends, clipped to the interior
-            x = a - fa * width / (fc - fa)
-            if not (a + 1e-3 * width < x < c - 1e-3 * width):
-                x = a + 0.5 * width
-        else:
-            x = a + 0.5 * width
-        fx = f.residual(x, n)
-    raise NonConvergence(f"no residual <= {tol} within 200 iterations")
+    r_mid = f.residual(0.5 * (lo + hi), n)
+    scale = max(abs(r_lo), abs(r_hi), abs(r_mid), 1.0)
+    slope = (r_hi - r_lo) / (hi - lo)
+    if not (abs(r_mid - 0.5 * (r_lo + r_hi)) <= 1e-10 * scale and slope != 0.0):
+        raise NonConvergence(f"residual is not affine in eps over {bracket}")
+    eps = lo - r_lo / slope
+    r = f.residual(eps, n)
+    if r != 0.0:
+        polished = eps - r / slope
+        if polished != eps and lo <= polished <= hi:
+            r_polished = f.residual(polished, n)
+            if abs(r_polished) < abs(r):
+                eps, r = polished, r_polished
+    if not abs(r) <= tol:
+        raise NonConvergence(f"residual {r} above {tol} after the affine step")
+    return eps
 
 
 def eigenfunction_factors(d: NuDerived) -> tuple[float, float, float, float]:

@@ -44,14 +44,11 @@ def discretize(p: PtPotential, n_points: int) -> RadialOperator:
     h = p.r_max / (n_points + 1)
     r = h * np.arange(1, n_points + 1)
     v_prime = p.v1_prime / np.sin(p.alpha * r) ** 2 + p.v2_prime / np.cos(p.alpha * r) ** 2
-    if not np.all(np.isfinite(v_prime)):
-        raise NonFinite("potential leaves floating-point range on the grid")
-    return RadialOperator(
-        n_points=n_points,
-        h=h,
-        diag=2.0 / (h * h) + v_prime,
-        offdiag=-1.0 / (h * h),
-    )
+    # h * h underflows to 0, and 2/h^2 overflows, for alpha beyond about 1e154
+    diag = (2.0 / (h * h) if h * h > 0.0 else math.inf) + v_prime
+    if not np.all(np.isfinite(diag)):
+        raise NonFinite("operator leaves floating-point range on the grid")
+    return RadialOperator(n_points=n_points, h=h, diag=diag, offdiag=-1.0 / (h * h))
 
 
 def lowest_eigenvalues(op: RadialOperator, count: int) -> list[float]:
@@ -59,15 +56,20 @@ def lowest_eigenvalues(op: RadialOperator, count: int) -> list[float]:
 
     The absolute tolerance handed to dstebz is the smallest positive
     float, so its relative stopping rule governs: each eigenvalue is
-    bracketed to about 2 ulp of its magnitude.
+    bracketed to about 2 ulp of its magnitude.  dstebz gives up (raised
+    here as NonFinite) where the square of an off-diagonal entry
+    overflows, for alpha beyond about 1e76.
     """
     import scipy.linalg
 
     if not (1 <= count <= op.n_points):
         raise DomainError(f"need 1 <= count <= {op.n_points}, got {count}")
-    values = scipy.linalg.eigvalsh_tridiagonal(
-        op.diag, np.full(op.n_points - 1, op.offdiag), select="i",
-        select_range=(0, count - 1), tol=np.finfo(float).tiny, lapack_driver="stebz")
+    try:
+        values = scipy.linalg.eigvalsh_tridiagonal(
+            op.diag, np.full(op.n_points - 1, op.offdiag), select="i",
+            select_range=(0, count - 1), tol=np.finfo(float).tiny, lapack_driver="stebz")
+    except np.linalg.LinAlgError as exc:
+        raise NonFinite(f"dstebz failed on this operator: {exc}") from exc
     return values.tolist()
 
 

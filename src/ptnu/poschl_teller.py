@@ -17,29 +17,30 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .nu import (NuDerived, SpectralFamily, derive_constants, eigenfunction_factors,
-                 evaluate_eigenfunction, solve_energy)
+from .errors import DomainError, NonFinite
+from .nu import (NuDerived, SpectralFamily, checked_record, derive_constants,
+                 eigenfunction_factors, evaluate_eigenfunction, solve_energy)
 from .special_functions import jacobi_log_norm
 
 
-@dataclass(frozen=True)
-class PtPotential:
+class PtPotential(checked_record("PtPotential", "m v1 v2 alpha")):
     """Physical parameters: mass m, well depths v1 and v2, range alpha.
 
-    All in fm^-1, finite and strictly positive; the well spans (0, pi/(2*alpha)).
+    All in fm^-1; the well spans (0, pi/(2*alpha)).  An immutable tuple
+    (m, v1, v2, alpha) with named fields, so it equals the plain 4-tuple
+    of the same values.  Building one, directly or through `_make` and
+    `_replace`, raises DomainError unless all four are finite and > 0.
     """
 
-    m: float
-    v1: float
-    v2: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(0.0 < v < math.inf for v in (self.m, self.v1, self.v2, self.alpha)):
+    def __new__(cls, m: float, v1: float, v2: float, alpha: float):
+        inf = math.inf
+        if not (0.0 < m < inf and 0.0 < v1 < inf and 0.0 < v2 < inf and 0.0 < alpha < inf):
             raise DomainError(
-                f"need m, v1, v2, alpha all finite and > 0, got m={self.m}, v1={self.v1}, "
-                f"v2={self.v2}, alpha={self.alpha}")
+                f"need m, v1, v2, alpha all finite and > 0, got m={m}, v1={v1}, "
+                f"v2={v2}, alpha={alpha}")
+        return tuple.__new__(cls, (m, v1, v2, alpha))
 
     @property
     def v1_prime(self) -> float:
@@ -72,15 +73,19 @@ def to_nu_family(p: PtPotential) -> SpectralFamily:
     """Template family for this potential under s = sin^2(alpha r).
 
     The fixed coefficients are (1/2, 1, 1); only x1 and x2 carry eps.
+    Raises DomainError where 4 alpha^2 underflows to 0.
     """
-    quarter = 1.0 / (4.0 * p.alpha * p.alpha)
+    four_alpha2 = 4.0 * p.alpha * p.alpha
+    if four_alpha2 == 0.0:
+        raise DomainError(f"4 alpha^2 underflows to 0 at alpha={p.alpha}")
+    quarter = 1.0 / four_alpha2
     v1p = p.v1_prime
     v2p = p.v2_prime
 
     def xi_map(eps: float) -> tuple[float, float, float]:
         return (eps * quarter, (eps + v1p - v2p) * quarter, v1p * quarter)
 
-    return SpectralFamily(a1=0.5, a2=1.0, a3=1.0, xi_map=xi_map)
+    return SpectralFamily(0.5, 1.0, 1.0, xi_map)
 
 
 def energy_closed_form(p: PtPotential, n: int) -> float:
@@ -148,17 +153,47 @@ def energy_via_nu(p: PtPotential, n: int) -> float:
 _S_RANGE = (sys.float_info.min, 1.0 - sys.float_info.epsilon / 2)
 
 
-def _eigenfunction(p: PtPotential, n: int) -> tuple[NuDerived, float]:
-    """Template constants at the closed-form level n, and the log scale
-    -max_s[p1*log(s) + p2*log(1-s)] that puts the peak of the envelope
-    s^p1 (1-s)^p2 at 1; the maximum sits at s = p1/(p1+p2)."""
+def _eigenfunction(p: PtPotential, n: int):
+    """One pass of the template pipeline at the closed-form level n:
+    (energy, constants, log_scale, unnormalized R_n as a callable of r).
+
+    log_scale = -max_s[p1*log(s) + p2*log(1-s)] puts the peak of the
+    envelope s^p1 (1-s)^p2 at 1; the maximum sits at s = p1/(p1+p2).
+    """
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
-    eps = 2.0 * p.m * energy_closed_form(p, n)
-    d = derive_constants(to_nu_family(p).coefficients(eps))
+    energy = energy_closed_form(p, n)
+    d = derive_constants(to_nu_family(p).coefficients(2.0 * p.m * energy))
     p1, p2, _, _ = eigenfunction_factors(d)
     log_scale = -(p1 * math.log(p1 / (p1 + p2)) + p2 * math.log(p2 / (p1 + p2)))
-    return d, log_scale
+    alpha = p.alpha
+    r_max = p.r_max
+
+    def wavefunction(r):
+        import numpy as np
+
+        r_arr = np.asarray(r, dtype=float)
+        if np.any(r_arr <= 0.0) or np.any(r_arr >= r_max):
+            raise DomainError(f"r outside the well (0, {r_max})")
+        s = np.clip(np.sin(alpha * r_arr) ** 2, *_S_RANGE)
+        return evaluate_eigenfunction(d, n, s, log_scale)
+
+    return energy, d, log_scale, wavefunction
+
+
+def _bound_state(p: PtPotential, n: int, energy: float, d: NuDerived,
+                 log_scale: float) -> BoundState:
+    """Under x = cos 2ar the integral of R_n^2 over the well becomes the
+    Jacobi weight integral with exponents 2*p1 - 1/2 = ja and
+    2*p2 - 1/2 = jb, so it equals C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb)."""
+    p1, p2, ja, jb = eigenfunction_factors(d)
+    log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * math.log(2.0)
+                    - math.log(2.0 * p.alpha) + jacobi_log_norm(n, ja, jb))
+    # keeps the norm a normal float
+    if not abs(log_integral) < 1400.0:
+        raise NonFinite(f"norm exp({-0.5 * log_integral}) out of floating-point range")
+    return BoundState(n=n, energy=energy, eps=2.0 * p.m * energy,
+                      norm=math.exp(-0.5 * log_integral))
 
 
 def radial_wavefunction(p: PtPotential, n: int):
@@ -169,41 +204,19 @@ def radial_wavefunction(p: PtPotential, n: int):
     the closed-form energy, and the constant C chosen so that the
     sine-cosine envelope peaks at 1.  Vanishes at both ends of the well.
     """
-    import numpy as np
-
-    d, log_scale = _eigenfunction(p, n)
-    alpha = p.alpha
-    r_max = p.r_max
-
-    def wavefunction(r):
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0.0) or np.any(r_arr >= r_max):
-            raise DomainError(f"r outside the well (0, {r_max})")
-        s = np.clip(np.sin(alpha * r_arr) ** 2, *_S_RANGE)
-        return evaluate_eigenfunction(d, n, s, log_scale)
-
-    return wavefunction
+    return _eigenfunction(p, n)[3]
 
 
 def normalize(p: PtPotential, n: int) -> BoundState:
-    """Bound state with norm fixed so that the L2 norm of norm*R_n is 1.
-
-    Under x = cos 2ar the integral of R_n^2 over the well becomes the
-    Jacobi weight integral with exponents 2*p1 - 1/2 = ja and
-    2*p2 - 1/2 = jb, so it equals C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb).
-    """
-    d, log_scale = _eigenfunction(p, n)
-    p1, p2, ja, jb = eigenfunction_factors(d)
-    log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * math.log(2.0)
-                    - math.log(2.0 * p.alpha) + jacobi_log_norm(n, ja, jb))
-    energy = energy_closed_form(p, n)
-    return BoundState(n=n, energy=energy, eps=2.0 * p.m * energy, norm=math.exp(-0.5 * log_integral))
+    """Bound state with norm fixed so that the L2 norm of norm*R_n is 1."""
+    return _bound_state(p, n, *_eigenfunction(p, n)[:3])
 
 
 def normalized_wavefunction(p: PtPotential, n: int):
-    """(BoundState, callable) pair with the unit-norm radial function."""
-    state = normalize(p, n)
-    r_fn = radial_wavefunction(p, n)
+    """(BoundState, callable) pair with the unit-norm radial function; the
+    template constants are derived once for both."""
+    energy, d, log_scale, r_fn = _eigenfunction(p, n)
+    state = _bound_state(p, n, energy, d, log_scale)
     scale = state.norm
     return state, lambda r: scale * r_fn(r)
 

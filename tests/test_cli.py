@@ -314,7 +314,15 @@ def test_invalid_flags_exit_two():
                  ["table2", "--m", "1e308"],
                  ["limit", "--v1", "1e308", "--v2", "1e308", "--format", "json"],
                  ["verify", "--alpha", "1.2", "--nmax", "0", "--m", "1e300", "--v1", "1e10",
-                  "--grid-points", "1000"]):
+                  "--grid-points", "1000"],
+                 # extreme range parameters: 4 alpha^2 underflows, dstebz cannot
+                 # count, 2/h^2 overflows, h * h underflows, the norm overflows
+                 ["verify", "--alpha", "1e-163", "--nmax", "0"],
+                 ["wavefunction", "--alpha", "1e-300"],
+                 ["verify", "--alpha", "1e150", "--nmax", "0"],
+                 ["verify", "--alpha", "1e155", "--nmax", "0"],
+                 ["verify", "--alpha", "1e160", "--nmax", "0"],
+                 ["wavefunction", "--alpha", "1e-50"]):
         code, out, err = run_main(argv)
         assert code == 2, argv
         assert out == "", argv

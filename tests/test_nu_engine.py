@@ -6,7 +6,6 @@ import pytest
 
 from helpers import TABLE2_ALPHAS, reference_potential
 from ptnu import (
-    Branch,
     NuCoefficients,
     SpectralFamily,
     derive_constants,
@@ -90,26 +89,12 @@ def test_pipeline_identities_random():
         assert d.a13 == pytest.approx(d.a5 - (s9 + c.a3 * s8), rel=4e-16, abs=1e-300)
 
 
-def test_secondary_branch_starred_constants():
-    rng = np.random.default_rng(77)
-    for _ in range(100):
-        c = random_coefficients(rng)
-        d = derive_constants(c, Branch.SECONDARY)
-        s8, s9 = math.sqrt(d.a8), math.sqrt(d.a9)
-        assert d.a10 == c.a1 + 2 * d.a4 - 2 * s8
-        assert d.a11 == c.a2 - 2 * d.a5 + 2 * (s9 - c.a3 * s8)
-        assert d.a12 == d.a4 - s8
-        assert d.a13 == d.a5 - (s9 - c.a3 * s8)
-        assert d.k == -(d.a7 + 2 * c.a3 * d.a8) + 2 * math.sqrt(d.a8 * d.a9)
-
-
-def test_derived_constants_carry_roots_and_branch_sign():
+def test_derived_constants_carry_roots():
     rng = np.random.default_rng(5)
     for _ in range(50):
         c = random_coefficients(rng)
-        for branch, sign in ((Branch.PRINCIPAL, 1.0), (Branch.SECONDARY, -1.0)):
-            d = derive_constants(c, branch)
-            assert (d.s8, d.s9, d.sign) == (math.sqrt(d.a8), math.sqrt(d.a9), sign)
+        d = derive_constants(c)
+        assert (d.s8, d.s9) == (math.sqrt(d.a8), math.sqrt(d.a9))
 
 
 def test_negative_discriminant_raises():
@@ -129,32 +114,21 @@ def test_coefficient_validation():
 
 # --- k -----------------------------------------------------------------------
 
-def both_k(c):
-    """k of the two branches, (principal, secondary)."""
-    return derive_constants(c).k, derive_constants(c, Branch.SECONDARY).k
-
-
 def test_k_all_terms_vanish():
     # a4 = 0 and x3 = 0 give a8 = 0; a2 = 2, a3 = 1 give a5 = 0 so a7 = -x2 = 0
-    ks = both_k(NuCoefficients(1.0, 2.0, 1.0, 1.0, 0.0, 0.0))
-    assert ks == (0.0, 0.0)
+    assert derive_constants(NuCoefficients(1.0, 2.0, 1.0, 1.0, 0.0, 0.0)).k == 0.0
 
 
 def test_k_direct_substitution():
-    # a3=0, a7=-1, a8=1, a9=1  ->  k = 1 -+ 2
-    ks = both_k(NuCoefficients(1.0, 0.0, 0.0, 1.0, 1.0, 1.0))
-    assert ks[0] == pytest.approx(-1.0, abs=1e-15)
-    assert ks[1] == pytest.approx(3.0, abs=1e-15)
+    # a3=0, a7=-1, a8=1, a9=1  ->  k = 1 - 2, the minus root
+    k = derive_constants(NuCoefficients(1.0, 0.0, 0.0, 1.0, 1.0, 1.0)).k
+    assert k == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_k_principal_matches_branch_choice():
-    c = pt_coefficients()
-    d = derive_constants(c)
-    k1, k2 = both_k(c)
-    assert k1 == d.k
+    d = derive_constants(pt_coefficients())
     expected = -(d.a7 + 2.0 * d.a8) - 2.0 * math.sqrt(d.a8 * d.a9)
-    assert k1 == pytest.approx(expected, rel=1e-15)
-    assert k1 < k2
+    assert d.k == pytest.approx(expected, rel=1e-15)
 
 
 # --- tau_prime ---------------------------------------------------------------
@@ -208,16 +182,15 @@ def test_residual_affine_in_eps_for_pt():
         assert r2 == pytest.approx(0.5 * (r1 + r3), rel=1e-12)
 
 
-def test_residual_matches_eigenvalue_relation_both_branches():
+def test_residual_matches_eigenvalue_relation():
     # cross-form check: residual equals -n*tau' + n(n-1)*a3 - (k + a13)
     rng = np.random.default_rng(5)
     for _ in range(100):
         c = random_coefficients(rng)
         n = int(rng.integers(0, 7))
-        for branch in Branch:
-            d = derive_constants(c, branch)
-            expected = -n * tau_prime(d) + n * (n - 1.0) * c.a3 - (d.k + d.a13)
-            assert quantization_residual(c, n, branch) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        d = derive_constants(c)
+        expected = -n * tau_prime(d) + n * (n - 1.0) * c.a3 - (d.k + d.a13)
+        assert quantization_residual(c, n) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_residual_bit_equal_to_derived_formula():
@@ -227,13 +200,12 @@ def test_residual_bit_equal_to_derived_formula():
     for _ in range(200):
         c = random_coefficients(rng)
         n = int(rng.integers(0, 11))
-        for branch in Branch:
-            d = derive_constants(c, branch)
-            expected = (c.a2 * n - (2.0 * n + 1.0) * d.a5
-                        + (2.0 * n + 1.0) * (d.s9 + d.sign * c.a3 * d.s8)
-                        + n * (n - 1.0) * c.a3 + d.a7 + 2.0 * c.a3 * d.a8
-                        + d.sign * 2.0 * math.sqrt(d.a8 * d.a9))
-            assert quantization_residual(c, n, branch) == expected
+        d = derive_constants(c)
+        expected = (c.a2 * n - (2.0 * n + 1.0) * d.a5
+                    + (2.0 * n + 1.0) * (d.s9 + c.a3 * d.s8)
+                    + n * (n - 1.0) * c.a3 + d.a7 + 2.0 * c.a3 * d.a8
+                    + 2.0 * math.sqrt(d.a8 * d.a9))
+        assert quantization_residual(c, n) == expected
 
 
 def test_residual_rejects_negative_n():
@@ -291,6 +263,20 @@ def test_solve_energy_nonconvergence_on_jump():
         solve_energy(fam, 0, (0.0, 10.0), tol=1e-3)
 
 
+def test_solve_energy_nonconvergence_off_affine():
+    # residual(n=0) = -x2 = -(u - 1 + u^3/100) with u = eps - 5: the midpoint
+    # sits exactly on the line through the ends, yet the line's root and its
+    # polish leave a residual far above tol
+    def xi_map(eps):
+        u = eps - 5.0
+        return (0.0, u - 1.0 + 0.01 * u ** 3, 0.0)
+
+    fam = SpectralFamily(a1=1.0, a2=2.0, a3=0.0, xi_map=xi_map)
+    assert fam.residual(5.0, 0) == 0.5 * (fam.residual(0.0, 0) + fam.residual(10.0, 0))
+    with pytest.raises(NonConvergence):
+        solve_energy(fam, 0, (0.0, 10.0), tol=1e-3)
+
+
 def test_solve_energy_rejects_bad_domain():
     # a non-finite eps reaches the family's x1..x3 check, which refuses it
     fam = SpectralFamily(a1=0.5, a2=1.0, a3=1.0, xi_map=lambda eps: (eps, eps, 1.0))
@@ -330,6 +316,40 @@ def test_family_record_is_the_checked_record():
     assert type(c) is NuCoefficients
     assert c == NuCoefficients(0.5, 1.0, 1.0, 2.0, 0.5, 1.0) == (0.5, 1.0, 1.0, 2.0, 0.5, 1.0)
     assert (c.a1, c.a2, c.a3, c.x1, c.x2, c.x3) == (0.5, 1.0, 1.0, 2.0, 0.5, 1.0)
+
+
+def test_family_record_is_checked_and_immutable():
+    def xi_map(eps):
+        return (eps, 0.5, 1.0)
+
+    fam = SpectralFamily(a1=0.5, a2=1.0, a3=1.0, xi_map=xi_map)
+    assert type(fam) is SpectralFamily
+    assert fam == SpectralFamily(0.5, 1.0, 1.0, xi_map) == (0.5, 1.0, 1.0, xi_map)
+    with pytest.raises(AttributeError):
+        fam.a3 = -1.0
+    with pytest.raises(AttributeError):
+        fam.extra = 0.0
+    with pytest.raises(DomainError):
+        SpectralFamily(0.5, 1.0, -1.0, xi_map)
+    # the namedtuple helpers rebuild through the a1..a3 check too
+    with pytest.raises(DomainError):
+        fam._replace(a3=-1.0)
+    with pytest.raises(DomainError):
+        fam._replace(a1=math.nan)
+    with pytest.raises(DomainError):
+        SpectralFamily._make((0.5, math.inf, 1.0, xi_map))
+    assert fam._replace(a2=2.0).coefficients(3.0) == (0.5, 2.0, 1.0, 3.0, 0.5, 1.0)
+    assert SpectralFamily._make(fam).residual(3.0, 1) == fam.residual(3.0, 1)
+
+
+def test_derived_record_is_immutable():
+    c = NuCoefficients(1.0, 2.0, 1.0, 1.0, 0.0, 0.0)
+    d = derive_constants(c)
+    assert d == tuple(d) and d.coeffs == c and len(d) == 14
+    with pytest.raises(AttributeError):
+        d.k = 1.0
+    with pytest.raises(AttributeError):
+        d.extra = 0.0
 
 
 def test_coefficient_record_is_immutable():

@@ -69,6 +69,22 @@ def test_discretize_rejects_overflowing_potential():
         discretize(PtPotential(1e300, 1e10, 3.0, 1.2), 1000)
 
 
+@pytest.mark.parametrize("alpha", [1e155, 1e160, 1e300])
+def test_discretize_rejects_overflowing_kinetic_term(alpha):
+    # 2/h^2 overflows at 1e155; h * h underflows to 0 from about 1e160
+    with pytest.raises(NonFinite):
+        discretize(reference_potential(alpha), 1000)
+
+
+@pytest.mark.parametrize("alpha", [1e77, 1e150])
+def test_lowest_eigenvalues_refuses_what_dstebz_cannot_count(alpha):
+    # a finite operator whose squared off-diagonal overflows inside dstebz
+    op = discretize(reference_potential(alpha), 1000)
+    assert np.all(np.isfinite(op.diag)) and math.isfinite(op.offdiag)
+    with pytest.raises(NonFinite):
+        lowest_eigenvalues(op, 1)
+
+
 # --- eigenvalue extraction ---------------------------------------------------
 
 def test_box_eigenvalues_match_discrete_closed_form():

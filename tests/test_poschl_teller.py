@@ -1,6 +1,7 @@
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -31,7 +32,8 @@ from ptnu import (
     spectrum_table,
     to_nu_family,
 )
-from ptnu.errors import DomainError
+from ptnu import poschl_teller as pt
+from ptnu.errors import DomainError, NonFinite
 from references import potential_value
 
 PT_REF = reference_potential(1.2)
@@ -77,6 +79,34 @@ def test_potential_validation():
                 (math.inf, 5, 3, 1.2), (10, math.nan, 3, 1.2), (10, 5, 3, math.inf)):
         with pytest.raises(DomainError):
             PtPotential(*bad)
+
+
+def test_potential_record_is_checked_and_immutable():
+    p = PtPotential(m=10.0, v1=5.0, v2=3.0, alpha=1.2)
+    assert type(p) is PtPotential
+    assert p == PT_REF == (10.0, 5.0, 3.0, 1.2)
+    assert (p.m, p.v1, p.v2, p.alpha) == (10.0, 5.0, 3.0, 1.2)
+    with pytest.raises(AttributeError):
+        p.alpha = 0.0
+    with pytest.raises(AttributeError):
+        p.extra = 0.0
+    # the namedtuple helpers rebuild through the check too
+    for bad in ({"m": 0.0}, {"v1": math.nan}, {"v2": -3.0}, {"alpha": math.inf}):
+        with pytest.raises(DomainError):
+            p._replace(**bad)
+    with pytest.raises(DomainError):
+        PtPotential._make((10.0, 5.0, 3.0, -1.2))
+    assert p._replace(alpha=0.4) == reference_potential(0.4)
+    assert PtPotential._make((10.0, 5.0, 3.0, 0.4)).r_max == reference_potential(0.4).r_max
+
+
+def test_family_underflowing_alpha_is_a_domain_error():
+    # 4 alpha^2 rounds to 0 below about 1e-162; the closed form still runs
+    p = PtPotential(10.0, 5.0, 3.0, 1e-163)
+    assert energy_closed_form(p, 0) == alpha_zero_limit(p)
+    for compute in (to_nu_family, lambda p: energy_via_nu(p, 0), lambda p: normalize(p, 0)):
+        with pytest.raises(DomainError):
+            compute(p)
 
 
 # --- template mapping --------------------------------------------------------
@@ -357,6 +387,33 @@ def test_normalize_bookkeeping():
     state = normalize(p, 2)
     assert state.eps == 2.0 * p.m * state.energy
     assert state.energy == energy_closed_form(p, 2)
+
+
+def test_normalized_wavefunction_derives_once():
+    # one closed form, one family and one constant chain serve both the
+    # state and its callable, with the values normalize and
+    # radial_wavefunction give on their own
+    p = reference_potential(0.4)
+    r = np.linspace(0.01, p.r_max - 0.01, 50)
+    for n in range(7):
+        with mock.patch.object(pt, "energy_closed_form", wraps=energy_closed_form) as closed, \
+             mock.patch.object(pt, "to_nu_family", wraps=to_nu_family) as family, \
+             mock.patch.object(pt, "derive_constants", wraps=nu.derive_constants) as derive:
+            state, r_fn = normalized_wavefunction(p, n)
+        assert (closed.call_count, family.call_count, derive.call_count) == (1, 1, 1)
+        assert state == normalize(p, n)
+        assert np.array_equal(r_fn(r), state.norm * radial_wavefunction(p, n)(r))
+
+
+@pytest.mark.parametrize("alpha", [1e-50, 1e-100])
+def test_normalize_refuses_a_norm_out_of_range(alpha):
+    # the log of the norm cancels terms of order 1/alpha; its exp must stay finite
+    p = reference_potential(alpha)
+    with pytest.raises(NonFinite):
+        normalize(p, 2)
+    with pytest.raises(NonFinite):
+        normalized_wavefunction(p, 2)
+    assert callable(radial_wavefunction(p, 2))
 
 
 def test_normalize_scale_invariance():
