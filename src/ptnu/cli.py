@@ -9,9 +9,10 @@ commands that sample arrays, and the oracle by `verify` alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .errors import ConfigError, NonFinite, PtnuError
 from .poschl_teller import (
@@ -30,19 +31,15 @@ ORACLE_SPACING = 1e-3
 FORMATS = ("csv", "tsv", "json")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    m: float = 10.0
-    v1: float = 5.0
-    v2: float = 3.0
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS
-    n_max: int = 6
-    grid_points: int = 2000
-    tol: float = 1e-9
-    format: str = "csv"
-    precision: int = 8
+class RunConfig(namedtuple(
+        "RunConfig", "m v1 v2 alphas n_max grid_points tol format precision",
+        defaults=(10.0, 5.0, 3.0, DEFAULT_ALPHAS, 6, 2000, 1e-9, "csv", 8))):
+    """Settings of one run, an immutable tuple with named fields; every
+    field has a default, and `_replace` returns a copy with some changed."""
 
-    def validate(self) -> "RunConfig":
+    __slots__ = ()
+
+    def validate(self) -> RunConfig:
         if not all(0 < v < math.inf for v in (self.m, self.v1, self.v2)):
             raise ConfigError(f"m, v1, v2 must be finite and positive, got {self.m}, {self.v1}, {self.v2}")
         if not self.alphas or not all(0 < a < math.inf for a in self.alphas):
@@ -235,10 +232,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raw = getattr(args, key)
         if raw is not None:
             _parse(values, key, raw)
-    return replace(RunConfig(), **values).validate()
+    return RunConfig()._replace(**values).validate()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first `main` call;
+    parsing leaves it unchanged, so every later call reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--m", default=None, help="mass (fm^-1)")
     common.add_argument("--v1", default=None, help="first well depth (fm^-1)")

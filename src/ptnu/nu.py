@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import DomainError, NegativeDiscriminant, NonConvergence, NoSignChange, ZeroA3
 from .special_functions import jacobi_scaled

@@ -16,25 +16,23 @@ stays cheap; the CLI imports it only for `verify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import DomainError, GridTooSmall, NonFinite
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .poschl_teller import PtPotential
 
 
-@dataclass(frozen=True)
-class RadialOperator:
-    """Symmetric tridiagonal discretization on the interior grid r_i = i*h."""
+class RadialOperator(namedtuple("RadialOperator", "n_points h diag offdiag")):
+    """Symmetric tridiagonal discretization on the interior grid r_i = i*h:
+    n_points, the step h, the diagonal (an ndarray) and the constant
+    off-diagonal entry; an immutable tuple with named fields."""
 
-    n_points: int
-    h: float
-    diag: np.ndarray
-    offdiag: float
+    __slots__ = ()
 
 
 def discretize(p: PtPotential, n_points: int) -> RadialOperator:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, NonFinite
 from .nu import (NuDerived, SpectralFamily, checked_record, derive_constants,
@@ -58,15 +58,12 @@ class PtPotential(checked_record("PtPotential", "m v1 v2 alpha")):
         return math.pi / (2.0 * self.alpha)
 
 
-@dataclass(frozen=True)
-class BoundState:
+class BoundState(namedtuple("BoundState", "n energy eps norm")):
     """One s-wave level: quantum number, energy, eps = 2mE, and the scale
-    factor that gives the radial wavefunction unit L2 norm."""
+    factor that gives the radial wavefunction unit L2 norm; an immutable
+    tuple (n, energy, eps, norm) with named fields."""
 
-    n: int
-    energy: float
-    eps: float
-    norm: float
+    __slots__ = ()
 
 
 def to_nu_family(p: PtPotential) -> SpectralFamily:
@@ -181,17 +178,38 @@ def _eigenfunction(p: PtPotential, n: int):
     return energy, d, log_scale, wavefunction
 
 
+# Largest relative error allowed in a norm.  Its log sums terms of order
+# 1/alpha that cancel; 4 ulp of their summed magnitude bounds the rounding
+# (at most 1.2 ulp against a 60-digit reference) and moves the norm by half
+# that.  It is about 40 times the largest such estimate for alpha >= 1e-4,
+# m <= 50, V1, V2 <= 100 and n <= 100.
+NORM_RTOL = 1e-6
+
+
 def _bound_state(p: PtPotential, n: int, energy: float, d: NuDerived,
                  log_scale: float) -> BoundState:
     """Under x = cos 2ar the integral of R_n^2 over the well becomes the
     Jacobi weight integral with exponents 2*p1 - 1/2 = ja and
-    2*p2 - 1/2 = jb, so it equals C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb)."""
+    2*p2 - 1/2 = jb, so it equals C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb).
+
+    Raises DomainError where rounding could move the norm by more than
+    NORM_RTOL: on the paper's potential, for alpha below about 2.8e-7.
+    """
     p1, p2, ja, jb = eigenfunction_factors(d)
-    log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * math.log(2.0)
+    ln2 = math.log(2.0)
+    log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * ln2
                     - math.log(2.0 * p.alpha) + jacobi_log_norm(n, ja, jb))
     # keeps the norm a normal float
     if not abs(log_integral) < 1400.0:
         raise NonFinite(f"norm exp({-0.5 * log_integral}) out of floating-point range")
+    # the large terms, the log-gamma ones inside jacobi_log_norm included
+    magnitude = (2.0 * log_scale + (2.0 * (p1 + p2) + ja + jb + 1.0) * ln2
+                 + abs(math.lgamma(n + ja + 1.0)) + abs(math.lgamma(n + jb + 1.0))
+                 + abs(math.lgamma(n + ja + jb + 1.0)))
+    error = 2.0 * sys.float_info.epsilon * magnitude
+    if not error <= NORM_RTOL:
+        raise DomainError(f"rounding may move the norm at alpha={p.alpha} by {error:.1e}, "
+                          f"above {NORM_RTOL}")
     return BoundState(n=n, energy=energy, eps=2.0 * p.m * energy,
                       norm=math.exp(-0.5 * log_integral))
 

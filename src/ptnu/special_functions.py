@@ -6,11 +6,11 @@ log-gamma values; the quadrature is an independent certifier of integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from .errors import InvalidIndex, NonFinite
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -86,13 +86,11 @@ def jacobi_log_norm(n: int, a: float, b: float) -> float:
             - math.lgamma(n + 1.0) - tail)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for integration over a fixed interval."""
+class QuadratureRule(namedtuple("QuadratureRule", "nodes weights interval")):
+    """Nodes and weights (ndarrays) for integration over the fixed
+    interval (lo, hi); an immutable tuple with named fields."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    interval: tuple[float, float]
+    __slots__ = ()
 
 
 def _mapped_legendre(order: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:

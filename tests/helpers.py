@@ -28,6 +28,8 @@ M_REF, V1_REF, V2_REF = 10.0, 5.0, 3.0
 
 # (m, V1, V2, alpha) at the corners of the box the property tests draw from
 BOX_CORNERS = tuple(itertools.product((1.0, 20.0), (0.5, 10.0), (0.5, 10.0), (0.002, 1.5)))
+# corners of the wider box on which the NU root and the norm alone are checked
+WIDE_CORNERS = tuple(itertools.product((0.1, 50.0), (0.01, 100.0), (0.01, 100.0), (1e-4, 3.2)))
 
 
 def reference_potential(alpha: float) -> PtPotential:

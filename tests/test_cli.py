@@ -10,7 +10,9 @@ import pytest
 
 from helpers import TABLE2_ALPHAS, count_sign_changes, reference_potential
 from ptnu import energy_closed_form
-from ptnu.cli import RunConfig, cmd_limit, cmd_table2, cmd_verify, cmd_wavefunction, main
+import ptnu
+from ptnu.cli import (RunConfig, _build_parser, cmd_limit, cmd_table2, cmd_verify,
+                      cmd_wavefunction, main)
 from ptnu.errors import ConfigError
 
 
@@ -322,7 +324,9 @@ def test_invalid_flags_exit_two():
                  ["verify", "--alpha", "1e150", "--nmax", "0"],
                  ["verify", "--alpha", "1e155", "--nmax", "0"],
                  ["verify", "--alpha", "1e160", "--nmax", "0"],
-                 ["wavefunction", "--alpha", "1e-50"]):
+                 ["wavefunction", "--alpha", "1e-50"],
+                 # the norm's rounding could exceed its bound
+                 ["wavefunction", "--alpha", "1e-12"]):
         code, out, err = run_main(argv)
         assert code == 2, argv
         assert out == "", argv
@@ -339,6 +343,17 @@ def test_run_config_validate_direct():
     with pytest.raises(ConfigError):
         RunConfig(alphas=(1.2, math.nan)).validate()
     assert RunConfig().validate() is not None
+
+
+def test_run_config_keeps_its_defaults():
+    defaults = {"m": 10.0, "v1": 5.0, "v2": 3.0, "alphas": (1.2, 0.8, 0.4, 0.2, 0.02, 0.002),
+                "n_max": 6, "grid_points": 2000, "tol": 1e-9, "format": "csv", "precision": 8}
+    config = RunConfig()
+    assert config._fields == tuple(defaults)
+    for field, value in defaults.items():
+        assert getattr(config, field) == value and type(getattr(config, field)) is type(value), field
+    # a tuple, so it equals the plain tuple of its fields
+    assert config == tuple(defaults.values())
 
 
 def test_commands_accept_explicit_streams():
@@ -376,6 +391,49 @@ def test_closed_form_commands_do_not_load_array_libraries(code, absent):
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.splitlines()[-1].split())
     assert loaded & absent == set()
+
+
+@pytest.mark.parametrize("code", [
+    "import ptnu",
+    "import ptnu.cli",
+    "from ptnu.cli import main; main(['table2'])",
+    "from ptnu.cli import main; main(['limit'])",
+])
+def test_cli_paths_do_not_load_dataclasses_inspect_or_typing(code):
+    # none of the three is needed at run time, and dataclasses alone pulls in
+    # inspect.  Both interpreters skip site (-S), and only the modules the
+    # code adds to the bare one count, so a site that loads them changes nothing.
+    src = str(Path(ptnu.__file__).resolve().parents[1])
+    listing = "print(*sorted(sys.modules))"
+    bare = subprocess.run([sys.executable, "-S", "-c", f"import sys; {listing}"],
+                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-S", "-c",
+                           f"import sys; sys.path.insert(0, {src!r}); {code}; {listing}"],
+                          capture_output=True, text=True)
+    assert bare.returncode == 0 and done.returncode == 0, done.stderr
+    added = set(done.stdout.splitlines()[-1].split()) - set(bare.stdout.split())
+    assert "ptnu" in added
+    assert added & {"dataclasses", "inspect", "typing"} == set()
+
+
+def test_main_reuses_one_parser_across_calls():
+    # the parser is built once per process; every call must still behave
+    # as the same command run on its own
+    assert _build_parser() is _build_parser()
+    argvs = [["table2", "--nmax", "1"],
+             ["limit", "--alpha", "0.4,0.2", "--format", "json"],
+             ["wavefunction", "--n", "1", "--points", "3"],
+             ["table2", "--precision", "0"],
+             ["table2", "--format", "tsv", "--precision", "4"]]
+    together = [run_main(argv) for argv in argvs]
+    for argv, result in zip(argvs, together):
+        alone = subprocess.run([sys.executable, "-m", "ptnu", *argv], capture_output=True, text=True)
+        assert result == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert [code for code, _, _ in together] == [0, 0, 0, 2, 0]
+    with pytest.raises(SystemExit) as bad:
+        run_main(["table2", "--no-such-flag"])
+    assert bad.value.code == 2
+    assert run_main(argvs[0]) == together[0]
 
 
 def test_module_entry_point_exit_codes():

@@ -5,10 +5,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import TABLE2_ALPHAS, reference_potential
 import ptnu
+from ptnu.cli import RunConfig
 
 
 def test_every_export_is_its_defining_object():
@@ -81,6 +83,45 @@ def test_benchmark_tracer_counts_every_residual_probe():
         spans.uninstall()
     assert len(counts) == 42
     assert 5 <= min(counts) and max(counts) <= 6, (min(counts), max(counts))
+
+
+def test_no_module_imports_dataclasses():
+    # every record is a named tuple; dataclasses and its inspect cost a cold start
+    package = Path(ptnu.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "dataclasses" for name in names), path.name
+
+
+RECORDS = {
+    "BoundState": lambda: ptnu.BoundState(n=2, energy=1.5, eps=30.0, norm=0.25),
+    "RunConfig": lambda: RunConfig(m=12.0, alphas=(0.4,)),
+    "RadialOperator": lambda: ptnu.RadialOperator(n_points=3, h=0.5, diag=np.ones(3), offdiag=-4.0),
+    "QuadratureRule": lambda: ptnu.QuadratureRule(nodes=np.zeros(2), weights=np.ones(2),
+                                                  interval=(-1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable_named_tuples(name):
+    record = RECORDS[name]()
+    *_, last = record._fields
+    with pytest.raises(AttributeError):
+        setattr(record, last, 7)
+    with pytest.raises(AttributeError):
+        record.extra = 7
+    changed = record._replace(**{last: 7})
+    assert type(changed) is type(record) and getattr(changed, last) == 7
+    assert getattr(record, last) != 7
+    assert all(new is old for new, old in zip(changed[:-1], record[:-1]))
+    # a tuple of its fields in order
+    assert all(value is getattr(record, field) for field, value in zip(record._fields, record))
 
 
 def test_test_references_stay_independent():

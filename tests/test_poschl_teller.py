@@ -14,6 +14,7 @@ from helpers import (
     TABLE2_STRINGS,
     V1_REF,
     V2_REF,
+    WIDE_CORNERS,
     count_sign_changes,
     norm_by_quadrature,
     reference_potential,
@@ -204,17 +205,41 @@ def test_energy_via_nu_matches_closed_form_random_sweep():
         assert energy_via_nu(p, n) == pytest.approx(expected, rel=1e-9)
 
 
+def strengths(p):
+    """(kappa, lambda) with kappa(kappa - 1) = 2mV1/alpha^2 and
+    lambda(lambda - 1) = 2mV2/alpha^2, at the working mpmath precision."""
+    m, alpha = mpmath.mpf(p.m), mpmath.mpf(p.alpha)
+
+    def strength(v):
+        return (1 + mpmath.sqrt(1 + 8 * m * mpmath.mpf(v) / alpha ** 2)) / 2
+
+    return strength(p.v1), strength(p.v2)
+
+
 def strength_form_energy(p, n):
-    """E_n = alpha^2/(2m) (kappa + lambda + 2n)^2 at 40 digits, with the
-    strengths kappa(kappa - 1) = 2mV1/alpha^2 and lambda(lambda - 1) =
-    2mV2/alpha^2; none of the closed form's rounding is shared."""
+    """E_n = alpha^2/(2m) (kappa + lambda + 2n)^2 at 40 digits; none of the
+    closed form's rounding is shared."""
     with mpmath.workdps(40):
-        m, alpha = mpmath.mpf(p.m), mpmath.mpf(p.alpha)
+        kappa, lam = strengths(p)
+        return mpmath.mpf(p.alpha) ** 2 / (2 * p.m) * (kappa + lam + 2 * n) ** 2
 
-        def strength(v):
-            return (1 + mpmath.sqrt(1 + 8 * m * mpmath.mpf(v) / alpha ** 2)) / 2
 
-        return alpha ** 2 / (2 * m) * (strength(p.v1) + strength(p.v2) + 2 * n) ** 2
+def strength_form_state(p, n, r):
+    """Unit-norm R_n(r) = N (sin ar)^kappa (cos ar)^lambda P_n^(ja,jb)(cos 2ar),
+    ja = kappa - 1/2 and jb = lambda - 1/2, at 40 digits.  Under x = cos 2ar
+    the integral of the unnormalized R_n^2 is 2^-(kappa+lambda) / (2a) h_n
+    with h_n the Jacobi weight integral, taken here from its gamma form."""
+    with mpmath.workdps(40):
+        kappa, lam = strengths(p)
+        ja, jb = kappa - mpmath.mpf(0.5), lam - mpmath.mpf(0.5)
+        theta = mpmath.mpf(p.alpha) * mpmath.mpf(r)
+        log_h = ((ja + jb + 1) * mpmath.log(2) + mpmath.loggamma(n + ja + 1)
+                 + mpmath.loggamma(n + jb + 1) - mpmath.log(2 * n + ja + jb + 1)
+                 - mpmath.loggamma(n + ja + jb + 1) - mpmath.loggamma(n + 1))
+        log_integral = -(kappa + lam) * mpmath.log(2) - mpmath.log(2 * mpmath.mpf(p.alpha)) + log_h
+        log_envelope = kappa * mpmath.log(mpmath.sin(theta)) + lam * mpmath.log(mpmath.cos(theta))
+        return (mpmath.exp(log_envelope - log_integral / 2)
+                * mpmath.jacobi(n, ja, jb, mpmath.cos(2 * theta)))
 
 
 def test_small_alpha_levels_match_mpmath():
@@ -387,6 +412,8 @@ def test_normalize_bookkeeping():
     state = normalize(p, 2)
     assert state.eps == 2.0 * p.m * state.energy
     assert state.energy == energy_closed_form(p, 2)
+    # a tuple, so it equals the plain tuple of its fields
+    assert state == (2, state.energy, state.eps, state.norm)
 
 
 def test_normalized_wavefunction_derives_once():
@@ -414,6 +441,42 @@ def test_normalize_refuses_a_norm_out_of_range(alpha):
     with pytest.raises(NonFinite):
         normalized_wavefunction(p, 2)
     assert callable(radial_wavefunction(p, 2))
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-5, 1e-4, 0.002, 1.2])
+def test_small_alpha_norms_match_mpmath(alpha):
+    # at the peak of the envelope, where the value does not move with the
+    # rounding of r or of the exponents, so only the norm can be off
+    p = reference_potential(alpha)
+    with mpmath.workdps(40):
+        kappa, lam = strengths(p)
+        r = float(mpmath.asin(mpmath.sqrt(kappa / (kappa + lam)))) / alpha
+    for n in (0, 2, 6):
+        _, r_fn = normalized_wavefunction(p, n)
+        exact = strength_form_state(p, n, r)
+        with mpmath.workdps(40):
+            error = float(abs(mpmath.mpf(r_fn(r)) / exact - 1))
+        assert error <= pt.NORM_RTOL, (alpha, n, error)
+
+
+@pytest.mark.parametrize("alpha", [1e-7, 1e-12, 1e-13, 1e-14, 1e-16])
+def test_normalize_refuses_a_norm_lost_to_rounding(alpha):
+    # terms of order 1/alpha cancel in the log of the norm: at 1e-12 the
+    # norm came back 3 % off, and from 1e-14 down wrong in every digit
+    p = reference_potential(alpha)
+    with pytest.raises(DomainError):
+        normalize(p, 2)
+    with pytest.raises(DomainError):
+        normalized_wavefunction(p, 2)
+    assert callable(radial_wavefunction(p, 2))
+
+
+def test_normalize_answers_on_the_wide_box_corners():
+    # the largest magnitudes of alpha >= 1e-4, m <= 50, V1, V2 <= 100, n <= 100
+    for corner in WIDE_CORNERS:
+        for n in (0, 6, 100):
+            state = normalize(PtPotential(*corner), n)
+            assert 0.0 < state.norm < math.inf, (corner, n)
 
 
 def test_normalize_scale_invariance():

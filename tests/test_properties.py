@@ -10,7 +10,6 @@ are always checked too: random draws rarely reach them, the oracle's
 error peaks there, and so do the residual magnitudes of the NU root.
 """
 import io
-import itertools
 import json
 import math
 from unittest import mock
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import BOX_CORNERS
+from helpers import BOX_CORNERS, WIDE_CORNERS
 from ptnu import PtPotential, energy_closed_form, energy_via_nu, normalize, nu, to_nu_family
 from ptnu.cli import RunConfig, cmd_verify
 from ptnu.errors import PtnuError
@@ -35,8 +34,6 @@ masses = st.floats(1.0, 20.0)
 depths = st.floats(0.5, 10.0)
 alphas = log_uniform(0.002, 1.5)
 levels = st.integers(0, 6)
-# corners of the wider box on which the NU root alone is checked
-WIDE_CORNERS = tuple(itertools.product((0.1, 50.0), (0.01, 100.0), (0.01, 100.0), (1e-4, 3.2)))
 
 
 def at_box_corners(*ns, corners=BOX_CORNERS):
