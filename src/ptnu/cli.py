@@ -226,13 +226,13 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    """File entries, then flags over them, in one dict of RunConfig fields."""
+    """File entries, then flags over them, as a RunConfig each command validates."""
     values = {} if args.config is None else _load_config_file(args.config)
     for key in _KEYS:
         raw = getattr(args, key)
         if raw is not None:
             _parse(values, key, raw)
-    return RunConfig()._replace(**values).validate()
+    return RunConfig()._replace(**values)
 
 
 @functools.cache

@@ -11,11 +11,12 @@ class NegativeDiscriminant(PtnuError):
 
 
 class NoSignChange(PtnuError):
-    """The residual does not change sign over the supplied bracket."""
+    """The residual does not change sign anywhere the bracket search looks."""
 
 
 class NonConvergence(PtnuError):
-    """Iteration budget exhausted before the residual tolerance was met."""
+    """The condition is not affine in eps over the bracket, or its residual
+    is still above the tolerance after the affine step."""
 
 
 class ZeroA3(PtnuError):

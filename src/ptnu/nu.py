@@ -159,32 +159,49 @@ class SpectralFamily(checked_record("SpectralFamily", "a1 a2 a3 xi_map")):
         return quantization_residual(self.coefficients(eps), n)
 
 
-def solve_energy(f: SpectralFamily, n: int, bracket: tuple[float, float],
-                 tol: float = 1e-12, ends: tuple[float, float] | None = None) -> float:
-    """Root in eps of a termination condition that is affine in eps.
+def solve_energy(f: SpectralFamily, n: int, hi: float) -> float:
+    """Root in eps of a termination condition that is affine in eps,
+    searched in (0, hi * 4**k] from a start hi > 0.
 
-    Requires a sign change over the bracket (NoSignChange otherwise) and a
-    midpoint residual collinear with the two ends.  The root of the line
-    through the ends is then polished by one secant step and returned
-    once |residual| <= tol.  A midpoint off the line, or a residual still
-    above tol, raises NonConvergence: the condition is not affine there.
+    k is the first of at most 80 x4 steps at which the residual changes
+    sign (NoSignChange otherwise).  The line through the residuals at 0
+    and hi predicts k, and the walk starts there.  The prediction is taken
+    a hair short (a root within ~1e-9 of a step counts as below it), so
+    rounding can start the walk early but never past its first sign
+    change: the bracket, its end residuals and the root are those of a
+    walk from hi.  hi * 4.0**k is the same float as k multiplications by 4.
 
-    `ends`, when given, is (r_lo, r_hi) already known at the bracket ends;
-    those two are then not evaluated again.
+    The root of the line through the bracket ends is polished by one
+    secant step and returned once its residual is within 1e-12 of the
+    residual magnitude at those ends: the residual's floating-point noise
+    floor grows with x1..x3, so a fixed absolute tolerance can be
+    unreachable.  A midpoint residual off that line, or a residual still
+    above the tolerance, raises NonConvergence: the condition is not
+    affine there.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    lo, hi = bracket
-    if not (lo < hi):
-        raise DomainError(f"empty bracket {bracket}")
-    r_lo, r_hi = ends if ends is not None else (f.residual(lo, n), f.residual(hi, n))
+    if not 0.0 < hi < math.inf:
+        raise DomainError(f"start hi must be finite and positive, got {hi}")
+    lo = 0.0
+    r_lo = f.residual(lo, n)
+    r_hi = f.residual(hi, n)
+    root = hi * r_lo / (r_lo - r_hi) if r_hi != r_lo else 0.0
+    steps = 0
+    if root > hi:
+        steps = max(1, math.ceil(min(80.0, math.log(root / hi, 4.0) - 1e-9)))
+        hi *= 4.0 ** steps
+        r_hi = f.residual(hi, n)
+    while not r_hi * r_lo < 0.0 and steps < 80:
+        hi *= 4.0
+        steps += 1
+        r_hi = f.residual(hi, n)
     if r_lo * r_hi > 0.0:
-        raise NoSignChange(f"residual has the same sign at both ends of {bracket}")
+        raise NoSignChange(f"residual has the same sign at both ends of {(lo, hi)}")
+    tol = 1e-12 * max(abs(r_lo), abs(r_hi), 1.0)
     r_mid = f.residual(0.5 * (lo + hi), n)
     scale = max(abs(r_lo), abs(r_hi), abs(r_mid), 1.0)
     slope = (r_hi - r_lo) / (hi - lo)
     if not (abs(r_mid - 0.5 * (r_lo + r_hi)) <= 1e-10 * scale and slope != 0.0):
-        raise NonConvergence(f"residual is not affine in eps over {bracket}")
+        raise NonConvergence(f"residual is not affine in eps over {(lo, hi)}")
     eps = lo - r_lo / slope
     r = f.residual(eps, n)
     if r != 0.0:

@@ -108,40 +108,11 @@ def energy_via_nu(p: PtPotential, n: int) -> float:
     """Level E_n obtained by root-finding the template's termination
     condition; independent of the closed form except through the mapping.
 
-    The bracket is [0, hi0 * 4**k], hi0 = max(4 alpha^2, 1), with k the
-    first of at most 80 x4 steps at which the residual changes sign.
     Under this mapping the residual is affine in eps (a9 does not depend
-    on eps; a7 falls as eps/(4 alpha^2)), so the line through the
-    residuals at 0 and hi0 predicts k, and the walk starts there.  The
-    prediction is taken a hair short (a root within ~1e-9 of a step
-    counts as below it), so rounding can start the walk early but never
-    past its first sign change: the bracket, its end residuals and every
-    energy are those of a walk from hi0.  hi0 * 4.0**k is the same float
-    as k multiplications by 4.
-
-    The residual tolerance is 1e-12 of the residual magnitude at the
-    bracket ends: the floating-point noise floor of the residual grows
-    with the xi coefficients (~ V'/alpha^2), so a fixed absolute
-    tolerance is unreachable for very small alpha.
+    on eps; a7 falls as eps/(4 alpha^2)), as `solve_energy` requires; its
+    bracket walk starts from hi = max(4 alpha^2, 1).
     """
-    family = to_nu_family(p)
-    lo = 0.0
-    hi = max(4.0 * p.alpha * p.alpha, 1.0)
-    r_lo = family.residual(lo, n)
-    r_hi = family.residual(hi, n)
-    root = hi * r_lo / (r_lo - r_hi) if r_hi != r_lo else 0.0
-    steps = 0
-    if root > hi:
-        steps = max(1, math.ceil(min(80.0, math.log(root / hi, 4.0) - 1e-9)))
-        hi *= 4.0 ** steps
-        r_hi = family.residual(hi, n)
-    while not r_hi * r_lo < 0.0 and steps < 80:
-        hi *= 4.0
-        steps += 1
-        r_hi = family.residual(hi, n)
-    tol = 1e-12 * max(abs(r_lo), abs(r_hi), 1.0)
-    eps = solve_energy(family, n, (lo, hi), tol=tol, ends=(r_lo, r_hi))
-    return eps / (2.0 * p.m)
+    return solve_energy(to_nu_family(p), n, max(4.0 * p.alpha * p.alpha, 1.0)) / (2.0 * p.m)
 
 
 # sin^2(ar) rounds to 0 within about 1e-154/a of r = 0 and to 1 within
@@ -157,8 +128,6 @@ def _eigenfunction(p: PtPotential, n: int):
     log_scale = -max_s[p1*log(s) + p2*log(1-s)] puts the peak of the
     envelope s^p1 (1-s)^p2 at 1; the maximum sits at s = p1/(p1+p2).
     """
-    if n < 0:
-        raise DomainError(f"quantum number must be >= 0, got {n}")
     energy = energy_closed_form(p, n)
     d = derive_constants(to_nu_family(p).coefficients(2.0 * p.m * energy))
     p1, p2, _, _ = eigenfunction_factors(d)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,11 @@ import ptnu
 from ptnu.cli import (RunConfig, _build_parser, cmd_limit, cmd_table2, cmd_verify,
                       cmd_wavefunction, main)
 from ptnu.errors import ConfigError
+
+# the directory that holds this ptnu; child interpreters import it from there
+SRC = str(Path(ptnu.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def run_main(argv):
@@ -373,7 +379,8 @@ def test_commands_accept_explicit_streams():
 def test_cli_import_does_not_load_scipy():
     # the oracle defers its scipy import, so table2/limit/wavefunction never pay for it
     probe = "import sys, ptnu.cli; print('scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=CHILD_ENV)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -387,7 +394,8 @@ def test_cli_import_does_not_load_scipy():
 def test_closed_form_commands_do_not_load_array_libraries(code, absent):
     # table2 and limit need only the math module; wavefunction needs numpy alone
     probe = f"import sys; {code}; print(*{{m.split('.')[0] for m in sys.modules}})"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=CHILD_ENV)
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.splitlines()[-1].split())
     assert loaded & absent == set()
@@ -403,12 +411,11 @@ def test_cli_paths_do_not_load_dataclasses_inspect_or_typing(code):
     # none of the three is needed at run time, and dataclasses alone pulls in
     # inspect.  Both interpreters skip site (-S), and only the modules the
     # code adds to the bare one count, so a site that loads them changes nothing.
-    src = str(Path(ptnu.__file__).resolve().parents[1])
     listing = "print(*sorted(sys.modules))"
     bare = subprocess.run([sys.executable, "-S", "-c", f"import sys; {listing}"],
                           capture_output=True, text=True)
     done = subprocess.run([sys.executable, "-S", "-c",
-                           f"import sys; sys.path.insert(0, {src!r}); {code}; {listing}"],
+                           f"import sys; sys.path.insert(0, {SRC!r}); {code}; {listing}"],
                           capture_output=True, text=True)
     assert bare.returncode == 0 and done.returncode == 0, done.stderr
     added = set(done.stdout.splitlines()[-1].split()) - set(bare.stdout.split())
@@ -427,7 +434,8 @@ def test_main_reuses_one_parser_across_calls():
              ["table2", "--format", "tsv", "--precision", "4"]]
     together = [run_main(argv) for argv in argvs]
     for argv, result in zip(argvs, together):
-        alone = subprocess.run([sys.executable, "-m", "ptnu", *argv], capture_output=True, text=True)
+        alone = subprocess.run([sys.executable, "-m", "ptnu", *argv], capture_output=True,
+                               text=True, env=CHILD_ENV)
         assert result == (alone.returncode, alone.stdout, alone.stderr), argv
     assert [code for code, _, _ in together] == [0, 0, 0, 2, 0]
     with pytest.raises(SystemExit) as bad:
@@ -438,12 +446,12 @@ def test_main_reuses_one_parser_across_calls():
 
 def test_module_entry_point_exit_codes():
     ok = subprocess.run([sys.executable, "-m", "ptnu", "table2", "--nmax", "0"],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True, env=CHILD_ENV)
     assert ok.returncode == 0
     assert ok.stdout.startswith("n,alpha=1.2")
     assert ok.stderr == ""
     bad = subprocess.run([sys.executable, "-m", "ptnu", "table2", "--precision", "99"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=CHILD_ENV)
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert "precision" in bad.stderr

@@ -217,15 +217,16 @@ def test_residual_rejects_negative_n():
 
 def test_solve_energy_pt_ground_state():
     p = PT_REF
-    eps = solve_energy(to_nu_family(p), 0, (0.0, 1000.0), tol=1e-9)
+    eps = solve_energy(to_nu_family(p), 0, 1000.0)
     assert eps == pytest.approx(360.5120044, abs=1e-6)
     assert eps / (2.0 * p.m) == pytest.approx(18.02560022, abs=1e-7)
 
 
 def test_solve_energy_small_alpha():
     p = reference_potential(0.002)
-    # residual noise floor ~ V'/alpha^2 * eps_machine, far above 1e-12
-    eps = solve_energy(to_nu_family(p), 0, (0.0, 1000.0), tol=1e-4)
+    # residual noise floor ~ V'/alpha^2 * eps_machine, far above 1e-12: the
+    # tolerance scales with the residuals at the bracket ends
+    eps = solve_energy(to_nu_family(p), 0, 1000.0)
     assert eps / (2.0 * p.m) == pytest.approx(15.74951629, abs=1e-7)
 
 
@@ -235,21 +236,29 @@ def test_solve_energy_agrees_with_closed_form_all_alphas():
         fam = to_nu_family(p)
         for n in range(7):
             expected = energy_closed_form(p, n)
-            r_hi = abs(fam.residual(4.0 * p.m * expected, n))
-            eps = solve_energy(fam, n, (0.0, 4.0 * p.m * expected),
-                               tol=1e-12 * max(1.0, r_hi))
+            eps = solve_energy(fam, n, 4.0 * p.m * expected)
             assert eps / (2.0 * p.m) == pytest.approx(expected, rel=1e-9)
 
 
 def test_solve_energy_no_sign_change_constant_family():
-    fam = SpectralFamily(a1=0.5, a2=1.0, a3=1.0, xi_map=lambda eps: (0.1, 0.2, 0.3))
+    # the x4 walk takes all 80 steps before it gives up
+    calls = []
+
+    def xi_map(eps):
+        calls.append(eps)
+        return (0.1, 0.2, 0.3)
+
+    fam = SpectralFamily(a1=0.5, a2=1.0, a3=1.0, xi_map=xi_map)
     with pytest.raises(NoSignChange):
-        solve_energy(fam, 0, (0.0, 100.0))
+        solve_energy(fam, 0, 100.0)
+    assert calls[-1] == 100.0 * 4.0 ** 80 and len(calls) == 82
 
 
-def test_solve_energy_root_outside_bracket():
-    with pytest.raises(NoSignChange):
-        solve_energy(to_nu_family(PT_REF), 0, (0.0, 100.0))
+def test_solve_energy_walks_from_a_start_below_the_root():
+    # eps ~ 360.512 lies past hi = 100; the search brackets it at 400
+    p = PT_REF
+    eps = solve_energy(to_nu_family(p), 0, 100.0)
+    assert eps == pytest.approx(2.0 * p.m * energy_closed_form(p, 0), rel=1e-12, abs=0.0)
 
 
 def test_solve_energy_nonconvergence_on_jump():
@@ -260,13 +269,13 @@ def test_solve_energy_nonconvergence_on_jump():
 
     fam = SpectralFamily(a1=1.0, a2=2.0, a3=0.0, xi_map=xi_map)
     with pytest.raises(NonConvergence):
-        solve_energy(fam, 0, (0.0, 10.0), tol=1e-3)
+        solve_energy(fam, 0, 10.0)
 
 
 def test_solve_energy_nonconvergence_off_affine():
     # residual(n=0) = -x2 = -(u - 1 + u^3/100) with u = eps - 5: the midpoint
     # sits exactly on the line through the ends, yet the line's root and its
-    # polish leave a residual far above tol
+    # polish leave a residual far above the tolerance
     def xi_map(eps):
         u = eps - 5.0
         return (0.0, u - 1.0 + 0.01 * u ** 3, 0.0)
@@ -274,7 +283,7 @@ def test_solve_energy_nonconvergence_off_affine():
     fam = SpectralFamily(a1=1.0, a2=2.0, a3=0.0, xi_map=xi_map)
     assert fam.residual(5.0, 0) == 0.5 * (fam.residual(0.0, 0) + fam.residual(10.0, 0))
     with pytest.raises(NonConvergence):
-        solve_energy(fam, 0, (0.0, 10.0), tol=1e-3)
+        solve_energy(fam, 0, 10.0)
 
 
 def test_solve_energy_rejects_bad_domain():
@@ -282,8 +291,9 @@ def test_solve_energy_rejects_bad_domain():
     fam = SpectralFamily(a1=0.5, a2=1.0, a3=1.0, xi_map=lambda eps: (eps, eps, 1.0))
     with pytest.raises(DomainError):
         fam.coefficients(math.nan)
-    with pytest.raises(DomainError):
-        solve_energy(fam, 0, (0.0, 1.0), tol=-1.0)
+    for hi in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            solve_energy(fam, 0, hi)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

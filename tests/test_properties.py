@@ -82,19 +82,16 @@ def test_results_are_finite_or_typed_errors(m, v1, v2, alpha, n):
 
 def walked_energy(p, n):
     """energy_via_nu with its bracket found by multiplying hi by 4, probe by
-    probe, from max(4 alpha^2, 1) until the residual changes sign."""
+    probe, from max(4 alpha^2, 1) until the residual changes sign; started
+    there, solve_energy neither jumps nor walks."""
     family = to_nu_family(p)
     hi = max(4.0 * p.alpha * p.alpha, 1.0)
     r_lo = family.residual(0.0, n)
     for _ in range(80):
-        r_hi = family.residual(hi, n)
-        if r_hi * r_lo < 0.0:
+        if family.residual(hi, n) * r_lo < 0.0:
             break
         hi *= 4.0
-    else:
-        r_hi = family.residual(hi, n)
-    tol = 1e-12 * max(abs(r_lo), abs(r_hi), 1.0)
-    return nu.solve_energy(family, n, (0.0, hi), tol=tol, ends=(r_lo, r_hi)) / (2.0 * p.m)
+    return nu.solve_energy(family, n, hi) / (2.0 * p.m)
 
 
 @DETERMINISTIC
@@ -128,7 +125,7 @@ def test_energy_via_nu_keeps_the_walked_bracket_on_a_step(m, v1, v2, alpha, n):
 @at_box_corners(0, 100, corners=WIDE_CORNERS)
 def test_energy_via_nu_takes_the_affine_step_on_the_wide_box(m, v1, v2, alpha, n):
     # solve_energy has no fallback: a residual off the line through the
-    # bracket ends, or one above tol after the polish, would raise here.
-    # Measured worst: 7.4e-14 over 18,000 seeded cells.
+    # bracket ends, or one above its tolerance after the polish, would
+    # raise here.  Measured worst: 7.4e-14 over 18,000 seeded cells.
     p = PtPotential(m, v1, v2, alpha)
     assert energy_via_nu(p, n) == pytest.approx(energy_closed_form(p, n), rel=1e-12, abs=0.0)
