@@ -20,8 +20,8 @@ _EXPORTS = {
     ),
     "poschl_teller": (
         "BoundState", "PtPotential", "alpha_zero_limit", "energy_closed_form",
-        "energy_via_nu", "normalize", "normalized_wavefunction", "radial_wavefunction",
-        "spectrum_table", "to_nu_family",
+        "energy_via_nu", "normalize", "normalized_wavefunction", "spectrum_table",
+        "to_nu_family",
     ),
     "special_functions": (
         "QuadratureRule", "composite_rule", "gauss_rule", "integrate",

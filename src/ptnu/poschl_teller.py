@@ -18,8 +18,8 @@ import sys
 from collections import namedtuple
 
 from .errors import DomainError, NonFinite
-from .nu import (NuDerived, SpectralFamily, checked_record, derive_constants,
-                 eigenfunction_factors, evaluate_eigenfunction, solve_energy)
+from .nu import (SpectralFamily, checked_record, derive_constants, eigenfunction_factors,
+                 evaluate_eigenfunction, solve_energy)
 from .special_functions import jacobi_log_norm
 
 
@@ -70,11 +70,12 @@ def to_nu_family(p: PtPotential) -> SpectralFamily:
     """Template family for this potential under s = sin^2(alpha r).
 
     The fixed coefficients are (1/2, 1, 1); only x1 and x2 carry eps.
-    Raises DomainError where 4 alpha^2 underflows to 0.
+    Raises DomainError where 4 alpha^2 underflows to 0 or overflows.
     """
     four_alpha2 = 4.0 * p.alpha * p.alpha
-    if four_alpha2 == 0.0:
-        raise DomainError(f"4 alpha^2 underflows to 0 at alpha={p.alpha}")
+    if not 0.0 < four_alpha2 < math.inf:
+        raise DomainError(f"4 alpha^2 = {four_alpha2} at alpha={p.alpha}; alpha must lie "
+                          f"in about (7.9e-163, 6.7e153)")
     quarter = 1.0 / four_alpha2
     v1p = p.v1_prime
     v2p = p.v2_prime
@@ -121,32 +122,6 @@ def energy_via_nu(p: PtPotential, n: int) -> float:
 _S_RANGE = (sys.float_info.min, 1.0 - sys.float_info.epsilon / 2)
 
 
-def _eigenfunction(p: PtPotential, n: int):
-    """One pass of the template pipeline at the closed-form level n:
-    (energy, constants, log_scale, unnormalized R_n as a callable of r).
-
-    log_scale = -max_s[p1*log(s) + p2*log(1-s)] puts the peak of the
-    envelope s^p1 (1-s)^p2 at 1; the maximum sits at s = p1/(p1+p2).
-    """
-    energy = energy_closed_form(p, n)
-    d = derive_constants(to_nu_family(p).coefficients(2.0 * p.m * energy))
-    p1, p2, _, _ = eigenfunction_factors(d)
-    log_scale = -(p1 * math.log(p1 / (p1 + p2)) + p2 * math.log(p2 / (p1 + p2)))
-    alpha = p.alpha
-    r_max = p.r_max
-
-    def wavefunction(r):
-        import numpy as np
-
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0.0) or np.any(r_arr >= r_max):
-            raise DomainError(f"r outside the well (0, {r_max})")
-        s = np.clip(np.sin(alpha * r_arr) ** 2, *_S_RANGE)
-        return evaluate_eigenfunction(d, n, s, log_scale)
-
-    return energy, d, log_scale, wavefunction
-
-
 # Largest relative error allowed in a norm.  Its log sums terms of order
 # 1/alpha that cancel; 4 ulp of their summed magnitude bounds the rounding
 # (at most 1.2 ulp against a 60-digit reference) and moves the norm by half
@@ -155,16 +130,26 @@ def _eigenfunction(p: PtPotential, n: int):
 NORM_RTOL = 1e-6
 
 
-def _bound_state(p: PtPotential, n: int, energy: float, d: NuDerived,
-                 log_scale: float) -> BoundState:
-    """Under x = cos 2ar the integral of R_n^2 over the well becomes the
-    Jacobi weight integral with exponents 2*p1 - 1/2 = ja and
+def normalized_wavefunction(p: PtPotential, n: int):
+    """(BoundState, callable): level n and its unit-norm radial function
+    norm * R_n of r (scalar or ndarray), from one pass of the template
+    pipeline at the closed-form energy.
+
+    R_n(r) = C (sin ar)^(2*p1) (cos ar)^(2*p2) P_n^(ja,jb)(cos 2ar), with
+    C = exp(log_scale) putting the peak of the envelope s^p1 (1-s)^p2 at
+    1: log_scale = -max_s[p1*log(s) + p2*log(1-s)], taken at
+    s = p1/(p1+p2).  Under x = cos 2ar the integral of R_n^2 over the well
+    becomes the Jacobi weight integral with exponents 2*p1 - 1/2 = ja and
     2*p2 - 1/2 = jb, so it equals C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb).
 
     Raises DomainError where rounding could move the norm by more than
     NORM_RTOL: on the paper's potential, for alpha below about 2.8e-7.
     """
+    energy = energy_closed_form(p, n)
+    eps = 2.0 * p.m * energy
+    d = derive_constants(to_nu_family(p).coefficients(eps))
     p1, p2, ja, jb = eigenfunction_factors(d)
+    log_scale = -(p1 * math.log(p1 / (p1 + p2)) + p2 * math.log(p2 / (p1 + p2)))
     ln2 = math.log(2.0)
     log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * ln2
                     - math.log(2.0 * p.alpha) + jacobi_log_norm(n, ja, jb))
@@ -179,33 +164,25 @@ def _bound_state(p: PtPotential, n: int, energy: float, d: NuDerived,
     if not error <= NORM_RTOL:
         raise DomainError(f"rounding may move the norm at alpha={p.alpha} by {error:.1e}, "
                           f"above {NORM_RTOL}")
-    return BoundState(n=n, energy=energy, eps=2.0 * p.m * energy,
-                      norm=math.exp(-0.5 * log_integral))
+    norm = math.exp(-0.5 * log_integral)
+    alpha = p.alpha
+    r_max = p.r_max
 
+    def wavefunction(r):
+        import numpy as np
 
-def radial_wavefunction(p: PtPotential, n: int):
-    """Unnormalized R_n(r) as a callable of r (scalar or ndarray).
+        r_arr = np.asarray(r, dtype=float)
+        if np.any(r_arr <= 0.0) or np.any(r_arr >= r_max):
+            raise DomainError(f"r outside the well (0, {r_max})")
+        s = np.clip(np.sin(alpha * r_arr) ** 2, *_S_RANGE)
+        return norm * evaluate_eigenfunction(d, n, s, log_scale)
 
-    R_n(r) = C (sin ar)^(2*p1) (cos ar)^(2*p2) P_n^(ja,jb)(cos 2ar), with
-    the exponents and Jacobi indices taken from the template pipeline at
-    the closed-form energy, and the constant C chosen so that the
-    sine-cosine envelope peaks at 1.  Vanishes at both ends of the well.
-    """
-    return _eigenfunction(p, n)[3]
+    return BoundState(n=n, energy=energy, eps=eps, norm=norm), wavefunction
 
 
 def normalize(p: PtPotential, n: int) -> BoundState:
-    """Bound state with norm fixed so that the L2 norm of norm*R_n is 1."""
-    return _bound_state(p, n, *_eigenfunction(p, n)[:3])
-
-
-def normalized_wavefunction(p: PtPotential, n: int):
-    """(BoundState, callable) pair with the unit-norm radial function; the
-    template constants are derived once for both."""
-    energy, d, log_scale, r_fn = _eigenfunction(p, n)
-    state = _bound_state(p, n, energy, d, log_scale)
-    scale = state.norm
-    return state, lambda r: scale * r_fn(r)
+    """The state of `normalized_wavefunction`: norm makes norm*R_n unit L2."""
+    return normalized_wavefunction(p, n)[0]
 
 
 def spectrum_table(m: float, v1: float, v2: float, alphas: list[float],

@@ -28,7 +28,6 @@ from ptnu import (
     lowest_eigenvalues,
     normalized_wavefunction,
     ode_residual,
-    radial_wavefunction,
     richardson,
     spectrum_table,
     tau_prime,
@@ -156,9 +155,9 @@ def test_criterion_5_eigenfunction_certification():
     states = []
     nodes_ok = True
     for n in range(4):
-        defect = ode_residual(radial_wavefunction(p, n), p, energy_closed_form(p, n), samples)
-        worst_defect = max(worst_defect, defect)
         state, r_fn = normalized_wavefunction(p, n)
+        defect = ode_residual(r_fn, p, energy_closed_form(p, n), samples)
+        worst_defect = max(worst_defect, defect)
         states.append(r_fn)
         nodes_ok = nodes_ok and count_sign_changes(r_fn(scan)) == n
     worst_overlap = 0.0

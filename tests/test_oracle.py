@@ -14,8 +14,8 @@ from ptnu import (
     eigenvector,
     energy_closed_form,
     lowest_eigenvalues,
+    normalized_wavefunction,
     ode_residual,
-    radial_wavefunction,
     richardson,
 )
 from ptnu.errors import DomainError, GridTooSmall, NonFinite
@@ -202,14 +202,14 @@ def test_ode_residual_exact_eigenpair():
     p = PT_REF
     samples = np.linspace(0.02, p.r_max - 0.02, 50)
     for n in (0, 1):
-        residual = ode_residual(radial_wavefunction(p, n), p, energy_closed_form(p, n), samples)
+        residual = ode_residual(normalized_wavefunction(p, n)[1], p, energy_closed_form(p, n), samples)
         assert residual <= 1e-6
 
 
 def test_ode_residual_detects_wrong_energy():
     p = PT_REF
     samples = np.linspace(0.02, p.r_max - 0.02, 50)
-    residual = ode_residual(radial_wavefunction(p, 0), p, energy_closed_form(p, 0) + 0.1, samples)
+    residual = ode_residual(normalized_wavefunction(p, 0)[1], p, energy_closed_form(p, 0) + 0.1, samples)
     assert residual >= 1e-2
 
 
@@ -223,9 +223,9 @@ def test_ode_residual_rejects_zero_function():
 def test_ode_residual_rejects_edge_samples():
     p = PT_REF
     with pytest.raises(DomainError):
-        ode_residual(radial_wavefunction(p, 0), p, 1.0, [1e-5 * p.r_max])
+        ode_residual(normalized_wavefunction(p, 0)[1], p, 1.0, [1e-5 * p.r_max])
     with pytest.raises(DomainError):
-        ode_residual(radial_wavefunction(p, 0), p, 1.0, [])
+        ode_residual(normalized_wavefunction(p, 0)[1], p, 1.0, [])
 
 
 # --- independence ------------------------------------------------------------

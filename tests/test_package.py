@@ -158,4 +158,4 @@ def test_three_routes_stay_independent():
               if isinstance(node, ast.FunctionDef) and node.name == "energy_via_nu"]
     named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
-    assert named.isdisjoint({"energy_closed_form", "normalize", "_eigenfunction"}), named
+    assert named.isdisjoint({"energy_closed_form", "normalize", "normalized_wavefunction"}), named

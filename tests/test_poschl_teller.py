@@ -29,7 +29,6 @@ from ptnu import (
     normalized_wavefunction,
     nu,
     oracle,
-    radial_wavefunction,
     spectrum_table,
     to_nu_family,
 )
@@ -107,6 +106,16 @@ def test_family_underflowing_alpha_is_a_domain_error():
     assert energy_closed_form(p, 0) == alpha_zero_limit(p)
     for compute in (to_nu_family, lambda p: energy_via_nu(p, 0), lambda p: normalize(p, 0)):
         with pytest.raises(DomainError):
+            compute(p)
+
+
+@pytest.mark.parametrize("alpha", [1e155, 1e160])
+def test_family_overflowing_alpha_names_alpha(alpha):
+    # 4 alpha^2 overflows above about 6.7e153; the refusal names alpha,
+    # not the root-finder's start or the norm
+    p = PtPotential(10.0, 5.0, 3.0, alpha)
+    for compute in (lambda p: energy_via_nu(p, 0), lambda p: normalized_wavefunction(p, 0)):
+        with pytest.raises(DomainError, match="alpha"):
             compute(p)
 
 
@@ -329,14 +338,14 @@ def test_energy_via_nu_never_repeats_a_probe(monkeypatch):
 # --- wavefunctions -----------------------------------------------------------
 
 def test_ground_state_nodeless():
-    r_fn = radial_wavefunction(PT_REF, 0)
+    r_fn = normalized_wavefunction(PT_REF, 0)[1]
     values = r_fn(np.linspace(1e-4, PT_REF.r_max - 1e-4, 2000))
     assert np.all(values > 0.0)
 
 
 def test_wavefunction_defect_small_on_interior():
     p = PT_REF
-    r_fn = radial_wavefunction(p, 2)
+    r_fn = normalized_wavefunction(p, 2)[1]
     samples = np.linspace(0.02, p.r_max - 0.02, 50)
     residual = oracle.ode_residual(r_fn, p, energy_closed_form(p, 2), samples)
     assert residual <= 1e-6
@@ -354,14 +363,14 @@ def test_wavefunction_sine_exponent():
 
 
 def test_wavefunction_vanishes_at_both_ends():
-    r_fn = radial_wavefunction(PT_REF, 1)
+    r_fn = normalized_wavefunction(PT_REF, 1)[1]
     interior_peak = np.max(np.abs(r_fn(np.linspace(0.05, PT_REF.r_max - 0.05, 500))))
     assert abs(r_fn(1e-5)) < 1e-12 * interior_peak
     assert abs(r_fn(PT_REF.r_max - 1e-5)) < 1e-12 * interior_peak
 
 
 def test_wavefunction_domain_error():
-    r_fn = radial_wavefunction(PT_REF, 0)
+    r_fn = normalized_wavefunction(PT_REF, 0)[1]
     with pytest.raises(DomainError):
         r_fn(0.0)
     with pytest.raises(DomainError):
@@ -417,19 +426,21 @@ def test_normalize_bookkeeping():
 
 
 def test_normalized_wavefunction_derives_once():
-    # one closed form, one family and one constant chain serve both the
-    # state and its callable, with the values normalize and
-    # radial_wavefunction give on their own
+    # one closed form, one family, one constant chain and one set of
+    # factors serve both the state and its callable, and normalize is
+    # that state from the same single pass
     p = reference_potential(0.4)
-    r = np.linspace(0.01, p.r_max - 0.01, 50)
     for n in range(7):
-        with mock.patch.object(pt, "energy_closed_form", wraps=energy_closed_form) as closed, \
-             mock.patch.object(pt, "to_nu_family", wraps=to_nu_family) as family, \
-             mock.patch.object(pt, "derive_constants", wraps=nu.derive_constants) as derive:
-            state, r_fn = normalized_wavefunction(p, n)
-        assert (closed.call_count, family.call_count, derive.call_count) == (1, 1, 1)
-        assert state == normalize(p, n)
-        assert np.array_equal(r_fn(r), state.norm * radial_wavefunction(p, n)(r))
+        for build in (normalized_wavefunction, normalize):
+            with mock.patch.object(pt, "energy_closed_form", wraps=energy_closed_form) as closed, \
+                 mock.patch.object(pt, "to_nu_family", wraps=to_nu_family) as family, \
+                 mock.patch.object(pt, "derive_constants", wraps=nu.derive_constants) as derive, \
+                 mock.patch.object(pt, "eigenfunction_factors",
+                                   wraps=nu.eigenfunction_factors) as factors:
+                result = build(p, n)
+            counts = (closed.call_count, family.call_count, derive.call_count, factors.call_count)
+            assert counts == (1, 1, 1, 1), (build.__name__, n, counts)
+        assert result == normalized_wavefunction(p, n)[0]
 
 
 @pytest.mark.parametrize("alpha", [1e-50, 1e-100])
@@ -440,7 +451,6 @@ def test_normalize_refuses_a_norm_out_of_range(alpha):
         normalize(p, 2)
     with pytest.raises(NonFinite):
         normalized_wavefunction(p, 2)
-    assert callable(radial_wavefunction(p, 2))
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 1e-5, 1e-4, 0.002, 1.2])
@@ -468,7 +478,6 @@ def test_normalize_refuses_a_norm_lost_to_rounding(alpha):
         normalize(p, 2)
     with pytest.raises(DomainError):
         normalized_wavefunction(p, 2)
-    assert callable(radial_wavefunction(p, 2))
 
 
 def test_normalize_answers_on_the_wide_box_corners():
@@ -477,19 +486,6 @@ def test_normalize_answers_on_the_wide_box_corners():
         for n in (0, 6, 100):
             state = normalize(PtPotential(*corner), n)
             assert 0.0 < state.norm < math.inf, (corner, n)
-
-
-def test_normalize_scale_invariance():
-    # doubling the unnormalized amplitude halves the norm constant,
-    # leaving the normalized function pointwise unchanged
-    p = PT_REF
-    state = normalize(p, 1)
-    r_fn = radial_wavefunction(p, 1)
-    doubled = lambda r: 2.0 * r_fn(r)
-    value, _ = integrate(lambda r: doubled(r) ** 2, 0.0, p.r_max, 48, graded=True)
-    norm_doubled = 1.0 / math.sqrt(value)
-    for r in (0.3, 0.7, 1.1):
-        assert norm_doubled * doubled(r) == pytest.approx(state.norm * r_fn(r), rel=1e-12)
 
 
 def test_orthogonality_of_normalized_states():
