@@ -24,8 +24,7 @@ _EXPORTS = {
         "to_nu_family",
     ),
     "special_functions": (
-        "QuadratureRule", "composite_rule", "gauss_rule", "integrate",
-        "jacobi", "jacobi_log_norm", "jacobi_scaled",
+        "gauss_rule", "integrate", "jacobi", "jacobi_log_norm", "jacobi_scaled",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -87,16 +87,21 @@ def to_nu_family(p: PtPotential) -> SpectralFamily:
 
 
 def energy_closed_form(p: PtPotential, n: int) -> float:
-    """Closed-form level E_n (fm^-1) of the s-wave spectrum."""
+    """Closed-form level E_n (fm^-1) of the s-wave spectrum; DomainError
+    where it overflows (from alpha about 1e154, or for a subnormal m)."""
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
     a2 = p.alpha * p.alpha
     sq1 = math.sqrt(a2 + 8.0 * p.m * p.v1)
     sq2 = math.sqrt(a2 + 8.0 * p.m * p.v2)
-    return ((2.0 * a2 / p.m) * (n + 0.5) ** 2
-            + (p.alpha / (2.0 * p.m)) * (2.0 * n + 1.0) * (sq1 + sq2)
-            + (sq1 * sq2 + a2) / (4.0 * p.m)
-            + p.v1 + p.v2)
+    energy = ((2.0 * a2 / p.m) * (n + 0.5) ** 2
+              + (p.alpha / (2.0 * p.m)) * (2.0 * n + 1.0) * (sq1 + sq2)
+              + (sq1 * sq2 + a2) / (4.0 * p.m)
+              + p.v1 + p.v2)
+    if not energy < math.inf:
+        raise DomainError(f"level n={n} overflows at m={p.m}, v1={p.v1}, v2={p.v2}, "
+                          f"alpha={p.alpha}")
+    return energy
 
 
 def alpha_zero_limit(p: PtPotential) -> float:

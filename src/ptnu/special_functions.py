@@ -6,7 +6,6 @@ log-gamma values; the quadrature is an independent certifier of integrals.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .errors import InvalidIndex, NonFinite
 
@@ -86,16 +85,10 @@ def jacobi_log_norm(n: int, a: float, b: float) -> float:
             - math.lgamma(n + 1.0) - tail)
 
 
-class QuadratureRule(namedtuple("QuadratureRule", "nodes weights interval")):
-    """Nodes and weights (ndarrays) for integration over the fixed
-    interval (lo, hi); an immutable tuple with named fields."""
-
-    __slots__ = ()
-
-
-def _mapped_legendre(order: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of the given order mapped onto
-    [lo, hi]; column arrays of panel ends give one row per panel."""
+def gauss_rule(order: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the Gauss-Legendre rule of the given order
+    mapped onto [lo, hi]; column arrays of panel ends give one row per
+    panel."""
     import numpy as np
 
     if order < 1:
@@ -106,67 +99,26 @@ def _mapped_legendre(order: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * base_nodes, half * base_weights
 
 
-def gauss_rule(order: int, lo: float, hi: float) -> QuadratureRule:
-    """Gauss-Legendre rule of the given order scaled to [lo, hi]."""
-    return QuadratureRule(*_mapped_legendre(order, lo, hi), (lo, hi))
+def integrate(f, lo: float, hi: float, panels: int) -> tuple[float, float]:
+    """Integrate f over [lo, hi] with a composite 12-point Gauss-Legendre
+    rule on equal panels; no node touches an endpoint.
 
-
-def _panel_edges(lo: float, hi: float, panels: int, graded: bool) -> np.ndarray:
-    """Panel breakpoints; graded mode clusters geometrically toward both ends."""
-    import numpy as np
-
-    if not graded:
-        return np.linspace(lo, hi, panels + 1)
-    # split panels between the two ends, ratio-2 geometric shrink inward
-    per_side = max(panels // 2, 1)
-    frac = 0.5 ** np.arange(per_side, 0, -1)  # 2^-K ... 1/2
-    left = lo + (hi - lo) * frac
-    right = hi - (hi - lo) * frac[::-1]
-    edges = np.concatenate(([lo], left, right, [hi]))
-    return np.unique(edges)
-
-
-def composite_rule(lo: float, hi: float, panels: int, order: int = 12,
-                   graded: bool = False) -> QuadratureRule:
-    """Composite Gauss-Legendre rule; nodes never touch the endpoints.
-
-    One base rule is mapped onto every panel in a single broadcast."""
-    edges = _panel_edges(lo, hi, panels, graded)
-    nodes, weights = _mapped_legendre(order, edges[:-1, None], edges[1:, None])
-    return QuadratureRule(nodes.ravel(), weights.ravel(), (lo, hi))
-
-
-def _apply(f, nodes: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    try:
-        values = np.asarray(f(nodes), dtype=float)
-        if values.shape != nodes.shape:
-            values = np.broadcast_to(values, nodes.shape)
-    except (TypeError, ValueError):
-        values = np.asarray([f(x) for x in nodes], dtype=float)
-    return values
-
-
-def integrate(f, lo: float, hi: float, panels: int, order: int = 12,
-              graded: bool = False) -> tuple[float, float]:
-    """Integrate f over [lo, hi] with a composite Gauss-Legendre rule.
-
-    Returns (value, err_estimate); the error estimate compares against a
-    run with doubled panel count, whose value is the one returned.
-    Integrable endpoint singularities are handled by grading: panel widths
-    shrink geometrically toward both endpoints and nodes stay interior.
+    f is called once per pass on the ndarray of all nodes.  Returns
+    (value, err_estimate); the error estimate compares against a run
+    with doubled panel count, whose value is the one returned.
     """
     if panels < 1:
         raise InvalidIndex(f"panel count must be >= 1, got {panels}")
     import numpy as np
 
     def one_pass(n_panels: int) -> float:
-        rule = composite_rule(lo, hi, n_panels, order=order, graded=graded)
-        values = _apply(f, rule.nodes)
+        edges = np.linspace(lo, hi, n_panels + 1)
+        nodes, weights = gauss_rule(12, edges[:-1, None], edges[1:, None])
+        nodes = nodes.ravel()
+        values = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
         if not np.all(np.isfinite(values)):
             raise NonFinite("integrand returned a non-finite value at an interior node")
-        return float(rule.weights @ values)
+        return float(weights.ravel() @ values)
 
     coarse = one_pass(panels)
     fine = one_pass(2 * panels)

@@ -164,7 +164,7 @@ def test_criterion_5_eigenfunction_certification():
     for m in range(4):
         for n in range(m + 1, 4):
             overlap, _ = integrate(lambda r: states[m](r) * states[n](r),
-                                   0.0, p.r_max, 64, graded=True)
+                                   0.0, p.r_max, 64)
             worst_overlap = max(worst_overlap, abs(overlap))
     ok = worst_defect <= 1e-6 and nodes_ok and worst_overlap <= 1e-6
     _report(ok, "criterion 5 (eigenfunctions certified)",

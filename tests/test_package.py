@@ -103,8 +103,6 @@ RECORDS = {
     "BoundState": lambda: ptnu.BoundState(n=2, energy=1.5, eps=30.0, norm=0.25),
     "RunConfig": lambda: RunConfig(m=12.0, alphas=(0.4,)),
     "RadialOperator": lambda: ptnu.RadialOperator(n_points=3, h=0.5, diag=np.ones(3), offdiag=-4.0),
-    "QuadratureRule": lambda: ptnu.QuadratureRule(nodes=np.zeros(2), weights=np.ones(2),
-                                                  interval=(-1.0, 1.0)),
 }
 
 

@@ -119,6 +119,23 @@ def test_family_overflowing_alpha_names_alpha(alpha):
             compute(p)
 
 
+@pytest.mark.parametrize("m,alpha", [(10.0, 1e154), (10.0, 1e155), (1e-310, 1.2)])
+def test_closed_form_overflow_is_a_domain_error(m, alpha):
+    # 2 alpha^2 / m overflows from alpha about 1e154, and so does 1/(4m) for a
+    # subnormal m; the level and the table refuse it instead of returning inf
+    p = PtPotential(m, 5.0, 3.0, alpha)
+    for compute in (lambda p: energy_closed_form(p, 0),
+                    lambda p: spectrum_table(p.m, p.v1, p.v2, [p.alpha], 0)):
+        with pytest.raises(DomainError, match=r"n=0.*m=.*v1=.*v2=.*alpha="):
+            compute(p)
+
+
+def test_closed_form_below_overflow_stays_finite():
+    p = PtPotential(10.0, 5.0, 3.0, 9e153)
+    assert energy_closed_form(p, 0) < math.inf
+    assert spectrum_table(10.0, 5.0, 3.0, [9e153], 0)[0][0] == energy_closed_form(p, 0)
+
+
 # --- template mapping --------------------------------------------------------
 
 def test_family_fixed_coefficients():
@@ -489,13 +506,30 @@ def test_normalize_answers_on_the_wide_box_corners():
 
 
 def test_orthogonality_of_normalized_states():
+    for alpha in (1.2, 0.8, 0.4, 0.2):
+        p = reference_potential(alpha)
+        states = [normalized_wavefunction(p, n) for n in range(6)]
+        for m in range(6):
+            for n in range(m + 1, 6):
+                overlap, _ = integrate(lambda r: states[m][1](r) * states[n][1](r),
+                                       0.0, p.r_max, 64)
+                assert abs(overlap) <= 1e-6, (alpha, m, n)
+
+
+def test_integrate_raises_the_states_domain_error_after_one_call():
+    # past r_max the state refuses its whole node array, and integrate lets
+    # that error through instead of retrying node by node
     p = PT_REF
-    states = [normalized_wavefunction(p, n) for n in range(6)]
-    for m in range(6):
-        for n in range(m + 1, 6):
-            overlap, _ = integrate(lambda r: states[m][1](r) * states[n][1](r),
-                                   0.0, p.r_max, 64, graded=True)
-            assert abs(overlap) <= 1e-6
+    state = normalized_wavefunction(p, 2)[1]
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return state(r)
+
+    with pytest.raises(DomainError, match="outside the well"):
+        integrate(counted, 0.0, 2.0 * p.r_max, 8)
+    assert len(calls) == 1
 
 
 # --- spectrum table ----------------------------------------------------------
