@@ -29,6 +29,15 @@ ORACLE_BAND = 1e-4
 # Largest oracle error allowed, as a fraction of the gap E_{n+1} - E_n.
 ORACLE_SPACING = 1e-3
 FORMATS = ("csv", "tsv", "json")
+# Ceilings on what one run may ask for, far above any use in the paper, so
+# that every command ends within seconds.  MAX_POINTS bounds the samples of
+# wavefunction and the grid of verify.  verify's time per alpha, measured,
+# grows as (nmax + 2) * grid_points: a grid costs about as much as a level.
+MAX_NMAX = 1000
+MAX_ALPHAS = 100
+MAX_POINTS = 100_000
+MAX_VERIFY_WORK = 4_000_000
+MAX_CONFIG_CHARS = 65_536
 
 
 class RunConfig(namedtuple(
@@ -42,10 +51,11 @@ class RunConfig(namedtuple(
     def validate(self) -> RunConfig:
         if not all(0 < v < math.inf for v in (self.m, self.v1, self.v2)):
             raise ConfigError(f"m, v1, v2 must be finite and positive, got {self.m}, {self.v1}, {self.v2}")
-        if not self.alphas or not all(0 < a < math.inf for a in self.alphas):
-            raise ConfigError(f"alphas must be a non-empty list of finite positive values, got {self.alphas}")
-        if self.n_max < 0:
-            raise ConfigError(f"nmax must be >= 0, got {self.n_max}")
+        if not 0 < len(self.alphas) <= MAX_ALPHAS or not all(0 < a < math.inf for a in self.alphas):
+            raise ConfigError(f"alphas must be a list of 1 to {MAX_ALPHAS} finite positive values, "
+                              f"got {self.alphas}")
+        if not 0 <= self.n_max <= MAX_NMAX:
+            raise ConfigError(f"nmax must be in [0, {MAX_NMAX}], got {self.n_max}")
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.format not in FORMATS:
@@ -113,8 +123,8 @@ def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
     config.validate()
     if not (0 <= n <= config.n_max):
         raise ConfigError(f"need 0 <= n <= nmax={config.n_max}, got n={n}")
-    if points < 2:
-        raise ConfigError(f"need points >= 2, got {points}")
+    if not 2 <= points <= MAX_POINTS:
+        raise ConfigError(f"need 2 <= points <= {MAX_POINTS}, got {points}")
     p = PtPotential(config.m, config.v1, config.v2, config.alphas[0])
     _, r_fn = normalized_wavefunction(p, n)
     r = p.r_max * np.arange(1, points + 1) / (points + 1)
@@ -125,44 +135,58 @@ def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
     return 0
 
 
-def cmd_verify(config: RunConfig, out=None) -> int:
-    """Closed form vs template root vs finite-difference oracle per cell.
+class Cell(namedtuple("Cell", "n alpha e_closed e_nu e_oracle nu_dev oracle_dev passed")):
+    """One certified level: the columns `verify` prints, in print order, then
+    whether every gate held; an immutable tuple with named fields."""
 
-    The oracle solves every alpha on N and 2N+1 interior points and
-    Richardson-combines the pair; exit 1 when any deviation leaves its
-    band (`tol` for the root, ORACLE_BAND for the oracle), or when the
-    oracle misses the closed form by more than ORACLE_SPACING of the gap
-    to the next level.
+    __slots__ = ()
+
+
+def certify(p: PtPotential, count: int, n_points: int, tol: float) -> list[Cell]:
+    """Closed form vs template root vs finite-difference oracle per level.
+
+    The oracle solves on N and 2N+1 interior points and Richardson-combines
+    the pair; a cell fails when any deviation leaves its band (`tol` for
+    the root, ORACLE_BAND for the oracle), or when the oracle misses the
+    closed form by more than ORACLE_SPACING of the gap to the next level.
     """
     from .oracle import discretize, lowest_eigenvalues, richardson
 
+    coarse = lowest_eigenvalues(discretize(p, n_points), count)
+    fine = lowest_eigenvalues(discretize(p, 2 * n_points + 1), count)
+    oracle_levels = [richardson(c, f) / (2.0 * p.m) for c, f in zip(coarse, fine)]
+    cells = []
+    for n, e_or in enumerate(oracle_levels):
+        e_closed = energy_closed_form(p, n)
+        e_nu = energy_via_nu(p, n)
+        nu_dev = abs(e_nu - e_closed) / abs(e_closed)
+        oracle_dev = abs(e_or - e_closed) / abs(e_closed)
+        gap = energy_closed_form(p, n + 1) - e_closed
+        passed = not (nu_dev > tol or oracle_dev > ORACLE_BAND
+                      or abs(e_or - e_closed) > ORACLE_SPACING * gap)
+        cells.append(Cell(n, p.alpha, e_closed, e_nu, e_or, nu_dev, oracle_dev, passed))
+    return cells
+
+
+def cmd_verify(config: RunConfig, out=None) -> int:
+    """`certify` every configured alpha; exit 1 when any cell fails."""
     out = out or sys.stdout
     config.validate()
     if config.grid_points < 1000:
         raise ConfigError(f"verify needs grid_points >= 1000, got {config.grid_points}")
-    header = ["n", "alpha", "e_closed", "e_nu", "e_oracle", "nu_dev", "oracle_dev"]
-    rows = []
-    violated = False
     count = config.n_max + 1
-    for alpha in config.alphas:
-        p = PtPotential(config.m, config.v1, config.v2, alpha)
-        coarse = lowest_eigenvalues(discretize(p, config.grid_points), count)
-        fine = lowest_eigenvalues(discretize(p, 2 * config.grid_points + 1), count)
-        oracle_levels = [richardson(c, f) / (2.0 * p.m) for c, f in zip(coarse, fine)]
-        for n, e_or in enumerate(oracle_levels):
-            e_closed = energy_closed_form(p, n)
-            e_nu = energy_via_nu(p, n)
-            nu_dev = abs(e_nu - e_closed) / abs(e_closed)
-            oracle_dev = abs(e_or - e_closed) / abs(e_closed)
-            gap = energy_closed_form(p, n + 1) - e_closed
-            if (nu_dev > config.tol or oracle_dev > ORACLE_BAND
-                    or abs(e_or - e_closed) > ORACLE_SPACING * gap):
-                violated = True
-            rows.append([str(n), str(alpha), _fmt(e_closed, config.precision),
-                         _fmt(e_nu, config.precision), _fmt(e_or, config.precision),
-                         _fmt_dev(nu_dev, 2), _fmt_dev(oracle_dev, 2)])
-    _emit(out, header, rows, config.format)
-    return 1 if violated else 0
+    work = (count + 1) * config.grid_points * len(config.alphas)
+    if config.grid_points > MAX_POINTS or work > MAX_VERIFY_WORK:
+        raise ConfigError(f"verify needs grid_points <= {MAX_POINTS} and (nmax + 2) * grid_points * "
+                          f"(number of alphas) <= {MAX_VERIFY_WORK}, got {config.grid_points} and {work}")
+    cells = [cell for alpha in config.alphas
+             for cell in certify(PtPotential(config.m, config.v1, config.v2, alpha),
+                                 count, config.grid_points, config.tol)]
+    rows = [[str(c.n), str(c.alpha)]
+            + [_fmt(e, config.precision) for e in (c.e_closed, c.e_nu, c.e_oracle)]
+            + [_fmt_dev(c.nu_dev, 2), _fmt_dev(c.oracle_dev, 2)] for c in cells]
+    _emit(out, list(Cell._fields[:-1]), rows, config.format)
+    return 0 if all(c.passed for c in cells) else 1
 
 
 def cmd_limit(config: RunConfig, out=None) -> int:
@@ -206,22 +230,25 @@ def _parse(values: dict, key: str, raw: str, where: str = "") -> None:
 
 
 def _load_config_file(path: str) -> dict:
-    values = {}
     try:
         with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                if key not in _KEYS:
-                    raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-                _parse(values, key, raw.strip(), f"{path}:{line_no}: ")
-    except OSError as exc:
+            text = handle.read(MAX_CONFIG_CHARS + 1)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if len(text) > MAX_CONFIG_CHARS:
+        raise ConfigError(f"config file {path} is longer than {MAX_CONFIG_CHARS} characters")
+    values = {}
+    for line_no, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        _parse(values, key, raw.strip(), f"{path}:{line_no}: ")
     return values
 
 

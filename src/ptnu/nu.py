@@ -126,8 +126,11 @@ def quantization_residual(c: NuCoefficients, n: int) -> float:
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
     _, a5, _, a7, a8, a9, s8, s9 = _roots(c)
-    return (c.a2 * n - (2.0 * n + 1.0) * a5 + (2.0 * n + 1.0) * (s9 + c.a3 * s8)
-            + n * (n - 1.0) * c.a3 + a7 + 2.0 * c.a3 * a8 + 2.0 * math.sqrt(a8 * a9))
+    try:
+        return (c.a2 * n - (2.0 * n + 1.0) * a5 + (2.0 * n + 1.0) * (s9 + c.a3 * s8)
+                + n * (n - 1.0) * c.a3 + a7 + 2.0 * c.a3 * a8 + 2.0 * math.sqrt(a8 * a9))
+    except OverflowError:  # an int n beyond about 1.8e308 does not convert to a float
+        raise DomainError(f"quantum number must convert to a float, got {n}") from None
 
 
 class SpectralFamily(checked_record("SpectralFamily", "a1 a2 a3 xi_map")):

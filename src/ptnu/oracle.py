@@ -41,7 +41,8 @@ def discretize(p: PtPotential, n_points: int) -> RadialOperator:
         raise GridTooSmall(f"need n_points >= 100, got {n_points}")
     h = p.r_max / (n_points + 1)
     r = h * np.arange(1, n_points + 1)
-    v_prime = p.v1_prime / np.sin(p.alpha * r) ** 2 + p.v2_prime / np.cos(p.alpha * r) ** 2
+    with np.errstate(all="ignore"):  # the check below refuses what leaves float range
+        v_prime = p.v1_prime / np.sin(p.alpha * r) ** 2 + p.v2_prime / np.cos(p.alpha * r) ** 2
     # h * h underflows to 0, and 2/h^2 overflows, for alpha beyond about 1e154
     diag = (2.0 / (h * h) if h * h > 0.0 else math.inf) + v_prime
     if not np.all(np.isfinite(diag)):

@@ -88,16 +88,20 @@ def to_nu_family(p: PtPotential) -> SpectralFamily:
 
 def energy_closed_form(p: PtPotential, n: int) -> float:
     """Closed-form level E_n (fm^-1) of the s-wave spectrum; DomainError
-    where it overflows (from alpha about 1e154, or for a subnormal m)."""
+    where it overflows (from alpha about 1e154, for a subnormal m, or from
+    n about 1e154)."""
     if n < 0:
         raise DomainError(f"quantum number must be >= 0, got {n}")
     a2 = p.alpha * p.alpha
     sq1 = math.sqrt(a2 + 8.0 * p.m * p.v1)
     sq2 = math.sqrt(a2 + 8.0 * p.m * p.v2)
-    energy = ((2.0 * a2 / p.m) * (n + 0.5) ** 2
-              + (p.alpha / (2.0 * p.m)) * (2.0 * n + 1.0) * (sq1 + sq2)
-              + (sq1 * sq2 + a2) / (4.0 * p.m)
-              + p.v1 + p.v2)
+    try:
+        energy = ((2.0 * a2 / p.m) * (n + 0.5) ** 2
+                  + (p.alpha / (2.0 * p.m)) * (2.0 * n + 1.0) * (sq1 + sq2)
+                  + (sq1 * sq2 + a2) / (4.0 * p.m)
+                  + p.v1 + p.v2)
+    except OverflowError:  # the float power, or an n beyond float range
+        energy = math.inf
     if not energy < math.inf:
         raise DomainError(f"level n={n} overflows at m={p.m}, v1={p.v1}, v2={p.v2}, "
                           f"alpha={p.alpha}")
@@ -154,6 +158,10 @@ def normalized_wavefunction(p: PtPotential, n: int):
     eps = 2.0 * p.m * energy
     d = derive_constants(to_nu_family(p).coefficients(eps))
     p1, p2, ja, jb = eigenfunction_factors(d)
+    # both exceed 1/2; p2 is a difference that cancels when v1 dwarfs v2
+    if not (p1 > 0.0 and p2 > 0.0):
+        raise DomainError(f"exponents p1={p1}, p2={p2} lost to rounding at m={p.m}, v1={p.v1}, "
+                          f"v2={p.v2}, alpha={p.alpha}")
     log_scale = -(p1 * math.log(p1 / (p1 + p2)) + p2 * math.log(p2 / (p1 + p2)))
     ln2 = math.log(2.0)
     log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * ln2

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from helpers import TABLE2_ALPHAS, count_sign_changes, reference_potential
-from ptnu import energy_closed_form
+from ptnu import PtPotential, energy_closed_form
 import ptnu
-from ptnu.cli import (RunConfig, _build_parser, cmd_limit, cmd_table2, cmd_verify,
-                      cmd_wavefunction, main)
+from ptnu.cli import (Cell, RunConfig, _build_parser, certify, cmd_limit, cmd_table2,
+                      cmd_verify, cmd_wavefunction, main)
 from ptnu.errors import ConfigError
 
 # the directory that holds this ptnu; child interpreters import it from there
@@ -233,6 +233,44 @@ def test_verify_json_round_trip():
     json_matches_csv(["wavefunction", "--n", "2", "--points", "50", "--alpha", "0.02"])
 
 
+def test_certify_fails_the_corner_at_n5_and_n6():
+    # at N = 1000 the oracle misses n = 5 and 6 by 1.8e-3 and 3.0e-3 of a
+    # spacing, inside the relative band
+    cells = certify(PtPotential(20.0, 10.0, 10.0, 0.002), 7, 1000, 1e-9)
+    assert [c.n for c in cells] == list(range(7))
+    assert all(c.oracle_dev <= 1e-4 and c.nu_dev <= 1e-9 for c in cells)
+    assert [c.n for c in cells if not c.passed] == [5, 6]
+
+
+def test_certify_fails_exactly_the_cells_outside_tol():
+    p = PtPotential(10.0, 5.0, 3.0, 0.002)
+    loose = certify(p, 7, 1000, 1e-9)
+    tight = certify(p, 7, 1000, 1e-17)
+    assert all(c.passed for c in loose)
+    # tol moves the pass flags alone, and only where nu_dev exceeds it
+    assert [c[:-1] for c in tight] == [c[:-1] for c in loose]
+    assert [c.passed for c in tight] == [not c.nu_dev > 1e-17 for c in tight]
+    assert {c.passed for c in tight} == {True, False}
+
+
+@pytest.mark.parametrize("config,code", [
+    (RunConfig(alphas=(1.2, 0.002), n_max=3, grid_points=1000), 0),
+    (RunConfig(alphas=(0.002, 0.02), grid_points=1000, tol=1e-17), 1),
+    (RunConfig(m=20.0, v1=10.0, v2=10.0, alphas=(0.002,), grid_points=1000), 1),
+    (RunConfig(m=20.0, v1=10.0, v2=10.0, alphas=(0.002,), n_max=4, grid_points=1000), 0),
+])
+def test_verify_prints_the_records_and_fails_when_one_fails(config, code):
+    cells = [cell for alpha in config.alphas
+             for cell in certify(PtPotential(config.m, config.v1, config.v2, alpha),
+                                 config.n_max + 1, config.grid_points, config.tol)]
+    assert (0 if all(c.passed for c in cells) else 1) == code
+    out = io.StringIO()
+    assert cmd_verify(config, out) == code
+    header, rows = parse_table(out.getvalue())
+    assert header == list(Cell._fields[:-1])
+    assert [(int(row[0]), float(row[1])) for row in rows] == [(c.n, c.alpha) for c in cells]
+
+
 def test_verify_rejects_coarse_grid():
     code, _, err = run_main(["verify", "--grid-points", "500", "--alpha", "1.2"])
     assert code == 2
@@ -287,10 +325,11 @@ def test_config_file_unknown_key(tmp_path):
 
 def test_config_file_bad_value(tmp_path):
     config = tmp_path / "bad.cfg"
-    for text in ("m=ten\n", "alpha=1.2,x\n"):
-        config.write_text(text)
-        code, _, err = run_main(["table2", "--config", str(config)])
-        assert code == 2, text
+    # the last two are not UTF-8, and longer than any config file needs
+    for text in (b"m=ten\n", b"alpha=1.2,x\n", b"m=10\n\xff\xfe=3\n", b"#" * 65537):
+        config.write_bytes(text)
+        code, out, err = run_main(["table2", "--config", str(config)])
+        assert (code, out) == (2, ""), text
         assert str(config) in err, text
 
 
@@ -332,11 +371,35 @@ def test_invalid_flags_exit_two():
                  ["verify", "--alpha", "1e160", "--nmax", "0"],
                  ["wavefunction", "--alpha", "1e-50"],
                  # the norm's rounding could exceed its bound
-                 ["wavefunction", "--alpha", "1e-12"]):
+                 ["wavefunction", "--alpha", "1e-12"],
+                 # the exponent p2 cancels to 0, and the grid's sines to 0
+                 ["wavefunction", "--v1", "1e40"],
+                 ["verify", "--alpha", "1e308", "--nmax", "0"],
+                 # above a ceiling on the size of a run
+                 ["table2", "--nmax", "1001"],
+                 ["table2", "--alpha", ",".join(["1.2"] * 101)],
+                 ["wavefunction", "--points", "100001"],
+                 ["verify", "--grid-points", "100001", "--alpha", "1.2", "--nmax", "0"],
+                 ["verify", "--grid-points", "4000", "--alpha", "1.2", "--nmax", "999"],
+                 ["verify", "--grid-points", "40000", "--alpha", "1.2,0.4", "--nmax", "49"]):
         code, out, err = run_main(argv)
         assert code == 2, argv
         assert out == "", argv
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--nmax", str(10 ** 160)],
+    ["wavefunction", "--n", str(10 ** 160), "--nmax", str(10 ** 160)],
+])
+def test_oversized_runs_are_refused_before_any_work(argv):
+    # without a ceiling on nmax, the first ran until killed and the second
+    # ended in an OverflowError traceback with exit 1
+    done = subprocess.run([sys.executable, "-m", "ptnu", *argv], capture_output=True, text=True,
+                          env=CHILD_ENV, timeout=30)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: nmax must be in [0, 1000]")
+    assert done.stderr.count("\n") == 1
 
 
 def test_run_config_validate_direct():

@@ -33,7 +33,7 @@ from ptnu import (
     to_nu_family,
 )
 from ptnu import poschl_teller as pt
-from ptnu.errors import DomainError, NonFinite
+from ptnu.errors import DomainError, NonFinite, NoSignChange
 from references import potential_value
 
 PT_REF = reference_potential(1.2)
@@ -128,6 +128,22 @@ def test_closed_form_overflow_is_a_domain_error(m, alpha):
                     lambda p: spectrum_table(p.m, p.v1, p.v2, [p.alpha], 0)):
         with pytest.raises(DomainError, match=r"n=0.*m=.*v1=.*v2=.*alpha="):
             compute(p)
+
+
+@pytest.mark.parametrize("n", [10 ** 155, 10 ** 160, 10 ** 308, 10 ** 309, 10 ** 400])
+def test_huge_quantum_numbers_are_domain_errors(n):
+    # (n + 0.5) ** 2 overflows from n about 1e154, and n itself leaves float
+    # range from about 1.8e308; neither escapes as an OverflowError
+    p = PtPotential(10.0, 5.0, 3.0, 1.2)
+    for compute in (energy_closed_form, normalized_wavefunction):
+        with pytest.raises(DomainError, match=f"level n={n} overflows"):
+            compute(p, n)
+    if n > 1e308:
+        with pytest.raises(DomainError, match=f"quantum number .* got {n}"):
+            energy_via_nu(p, n)
+    else:  # the engine's residual is inf from n about 1e154
+        with pytest.raises(NoSignChange):
+            energy_via_nu(p, n)
 
 
 def test_closed_form_below_overflow_stays_finite():

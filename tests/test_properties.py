@@ -8,7 +8,9 @@ and n in 0..100.  The draws are derandomized and no example database is
 kept, so every run checks the same examples.  The 16 corners of each box
 are always checked too: random draws rarely reach them, the oracle's
 error peaks there, and so do the residual magnitudes of the NU root.
+The command line is drawn from a grammar of flag values, valid and not.
 """
+import contextlib
 import io
 import json
 import math
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from helpers import BOX_CORNERS, WIDE_CORNERS
 from ptnu import PtPotential, energy_closed_form, energy_via_nu, normalize, nu, to_nu_family
-from ptnu.cli import RunConfig, cmd_verify
+from ptnu.cli import RunConfig, cmd_verify, main
 from ptnu.errors import PtnuError
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -129,3 +131,49 @@ def test_energy_via_nu_takes_the_affine_step_on_the_wide_box(m, v1, v2, alpha, n
     # raise here.  Measured worst: 7.4e-14 over 18,000 seeded cells.
     p = PtPotential(m, v1, v2, alpha)
     assert energy_via_nu(p, n) == pytest.approx(energy_closed_form(p, n), rel=1e-12, abs=0.0)
+
+
+HUGE = str(10 ** 160)
+# values that a flag's parser, a range check or a ceiling must refuse
+EXTREMES = [HUGE, "-" + HUGE, "1e308", "-1e308", "5e-324", "inf", "-inf", "nan", "-1", "0",
+            "junk", ""]
+# small valid values, and a small base run that drawn flags override, so
+# that no example starts long work
+SMALL = {"m": ["10", "0.5"], "v1": ["5", "20"], "v2": ["3"], "alpha": ["1.2", "0.002,0.4"],
+         "nmax": ["0", "2"], "grid-points": ["1000"], "tol": ["1e-9", "1e-17"],
+         "format": ["csv", "json"], "precision": ["1", "17"], "n": ["0", "1"], "points": ["3"]}
+BASE = ["--alpha=1.2", "--nmax=1", "--grid-points=1000"]
+COMMON = ["m", "v1", "v2", "alpha", "nmax", "grid-points", "tol", "format", "precision", "config"]
+
+
+@pytest.fixture(scope="module")
+def config_files(tmp_path_factory):
+    """Paths of a config file that is not UTF-8, a valid one and a missing one."""
+    folder = tmp_path_factory.mktemp("configs")
+    (folder / "latin.cfg").write_bytes(b"m=10\n\xff\xfe=3\n")
+    (folder / "small.cfg").write_bytes(b"alpha=0.4\nnmax=0\n")
+    return [str(folder / name) for name in ("latin.cfg", "small.cfg", "missing.cfg")]
+
+
+@pytest.mark.parametrize("command", ["table2", "wavefunction", "verify", "limit"])
+@DETERMINISTIC
+@given(data=st.data())
+def test_every_command_line_gets_a_typed_answer(command, config_files, data):
+    # exit 0, 1 or 2 (2 with one line on stderr and nothing on stdout), or
+    # argparse's SystemExit(2); no other exception escapes
+    flags = COMMON + (["n", "points"] if command == "wavefunction" else [])
+    argv = [command, *BASE]
+    for flag in data.draw(st.lists(st.sampled_from(flags), unique=True, max_size=4)):
+        values = config_files if flag == "config" else SMALL[flag] + EXTREMES
+        argv.append(f"--{flag}={data.draw(st.sampled_from(values))}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing a flag's text
+            code = "usage" if exc.code == 2 else exc
+    assert code in (0, 1, 2, "usage"), argv
+    if code in (2, "usage"):
+        assert out.getvalue() == "", argv
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
