@@ -3,8 +3,9 @@ cross-verification sweeps, and the small-range limit scan.
 
 All numeric output is deterministic for a given configuration; csv/tsv/json
 carry the same formatted values and diagnostics go to stderr only.
-`table2` and `limit` need only the closed form: numpy is imported by the
-commands that sample arrays, and the oracle by `verify` alone.
+`table2` and `limit` need only the closed form, and `wavefunction`
+evaluates its samples one float at a time with `math`: numpy, scipy and
+the oracle are imported by `verify` alone.
 """
 from __future__ import annotations
 
@@ -117,8 +118,6 @@ def cmd_table2(config: RunConfig, out=None) -> int:
 def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
     """Sample the normalized state n of the first configured alpha:
     columns r, R/r (the radial factor of the full wavefunction), and R."""
-    import numpy as np
-
     out = out or sys.stdout
     config.validate()
     if not (0 <= n <= config.n_max):
@@ -127,10 +126,9 @@ def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
         raise ConfigError(f"need 2 <= points <= {MAX_POINTS}, got {points}")
     p = PtPotential(config.m, config.v1, config.v2, config.alphas[0])
     _, r_fn = normalized_wavefunction(p, n)
-    r = p.r_max * np.arange(1, points + 1) / (points + 1)
-    radial = r_fn(r)
+    r = [p.r_max * float(i) / (points + 1) for i in range(1, points + 1)]
     rows = [[_fmt(x, config.precision), _fmt(y / x, config.precision), _fmt(y, config.precision)]
-            for x, y in zip(r.tolist(), radial.tolist())]
+            for x, y in zip(r, map(r_fn, r))]
     _emit(out, ["r", "R_over_r", "R"], rows, config.format)
     return 0
 

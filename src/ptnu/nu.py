@@ -111,6 +111,14 @@ def tau_prime(d: NuDerived) -> float:
     return -2.0 * d.coeffs.a3 - 2.0 * (d.s9 + d.coeffs.a3 * d.s8)
 
 
+def index_text(n) -> str:
+    """n for an error message.  An int beyond 2000 bits is described by its
+    bit length: Python may refuse to print one of over 640 decimal digits."""
+    if isinstance(n, int) and n.bit_length() > 2000:
+        return f"{'a negative' if n < 0 else 'an'} int of {n.bit_length()} bits"
+    return f"{n}"
+
+
 def quantization_residual(c: NuCoefficients, n: int) -> float:
     """Left-hand side of the termination condition; zero at a bound state:
 
@@ -124,13 +132,13 @@ def quantization_residual(c: NuCoefficients, n: int) -> float:
     checks all six inputs, a `SpectralFamily` probe only x1..x3).
     """
     if n < 0:
-        raise DomainError(f"quantum number must be >= 0, got {n}")
+        raise DomainError(f"quantum number must be >= 0, got {index_text(n)}")
     _, a5, _, a7, a8, a9, s8, s9 = _roots(c)
     try:
         return (c.a2 * n - (2.0 * n + 1.0) * a5 + (2.0 * n + 1.0) * (s9 + c.a3 * s8)
                 + n * (n - 1.0) * c.a3 + a7 + 2.0 * c.a3 * a8 + 2.0 * math.sqrt(a8 * a9))
     except OverflowError:  # an int n beyond about 1.8e308 does not convert to a float
-        raise DomainError(f"quantum number must convert to a float, got {n}") from None
+        raise DomainError(f"quantum number must convert to a float, got {index_text(n)}") from None
 
 
 class SpectralFamily(checked_record("SpectralFamily", "a1 a2 a3 xi_map")):
@@ -233,24 +241,37 @@ def eigenfunction_factors(d: NuDerived) -> tuple[float, float, float, float]:
 def evaluate_eigenfunction(d: NuDerived, n: int, s, log_scale: float):
     """exp(log_scale) * psi(s), psi(s) = s^p1 (1-a3*s)^p2 P_n^(ja,jb)(1-2*a3*s).
 
-    Accepts scalar or ndarray s in (0, 1/a3).  The factors are combined as
-    sign(P) * exp(log_scale + p1*log(s) + p2*log1p(-a3*s) + log|P|), so a
-    power that alone would over- or underflow is offset by log_scale.  P
-    comes as p * 2**e from `jacobi_scaled`, so log|P| = log|p| + e*log(2)
-    stays finite where P itself would overflow.
+    Accepts s in (0, 1/a3): a float (np.float64 included) is evaluated with
+    `math` and gives a float, anything else with numpy.  The factors are
+    combined as sign(P) * exp(log_scale + p1*log(s) + p2*log1p(-a3*s) + log|P|),
+    so a power that alone would over- or underflow is offset by log_scale.
+    P comes as p * 2**e from `jacobi_scaled`, so log|P| = log|p| + e*log(2)
+    stays finite where P itself would overflow; where P is 0, so is psi.
     """
-    import numpy as np
-
     p1, p2, ja, jb = eigenfunction_factors(d)
     a3 = d.coeffs.a3
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all((s_arr > 0.0) & (s_arr < 1.0 / a3)):
+    if isinstance(s, float):
+        inside = 0.0 < s < 1.0 / a3
+    else:
+        import numpy as np
+
+        s = np.asarray(s, dtype=float)
+        inside = np.all((s > 0.0) & (s < 1.0 / a3))
+    if not inside:
         raise DomainError(f"s outside (0, {1.0 / a3})")
-    poly, exponent = jacobi_scaled(n, ja, jb, 1.0 - 2.0 * a3 * s_arr)
+    poly, exponent = jacobi_scaled(n, ja, jb, 1.0 - 2.0 * a3 * s)
+
+    def log_value(log, log1p):
+        return (log_scale + exponent * math.log(2.0) + p1 * log(s)
+                + p2 * log1p(-a3 * s) + log(abs(poly)))
+
+    if isinstance(s, float):
+        try:  # math.log(0.0) raises, and numpy's log(0) = -inf gives 0.0 too
+            return math.copysign(math.exp(log_value(math.log, math.log1p)), poly) if poly else 0.0
+        except OverflowError:
+            raise DomainError("eigenfunction overflow") from None
     with np.errstate(divide="ignore"):
-        log_value = (log_scale + exponent * math.log(2.0) + p1 * np.log(s_arr)
-                     + p2 * np.log1p(-a3 * s_arr) + np.log(np.abs(poly)))
-    value = np.sign(poly) * np.exp(log_value)
+        value = np.sign(poly) * np.exp(log_value(np.log, np.log1p))
     if not np.all(np.isfinite(value)):
         raise DomainError("eigenfunction overflow")
     return value if value.ndim else float(value)

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 from .errors import DomainError, NonFinite
 from .nu import (SpectralFamily, checked_record, derive_constants, eigenfunction_factors,
-                 evaluate_eigenfunction, solve_energy)
+                 evaluate_eigenfunction, index_text, solve_energy)
 from .special_functions import jacobi_log_norm
 
 
@@ -91,7 +91,7 @@ def energy_closed_form(p: PtPotential, n: int) -> float:
     where it overflows (from alpha about 1e154, for a subnormal m, or from
     n about 1e154)."""
     if n < 0:
-        raise DomainError(f"quantum number must be >= 0, got {n}")
+        raise DomainError(f"quantum number must be >= 0, got {index_text(n)}")
     a2 = p.alpha * p.alpha
     sq1 = math.sqrt(a2 + 8.0 * p.m * p.v1)
     sq2 = math.sqrt(a2 + 8.0 * p.m * p.v2)
@@ -103,7 +103,7 @@ def energy_closed_form(p: PtPotential, n: int) -> float:
     except OverflowError:  # the float power, or an n beyond float range
         energy = math.inf
     if not energy < math.inf:
-        raise DomainError(f"level n={n} overflows at m={p.m}, v1={p.v1}, v2={p.v2}, "
+        raise DomainError(f"level n={index_text(n)} overflows at m={p.m}, v1={p.v1}, v2={p.v2}, "
                           f"alpha={p.alpha}")
     return energy
 
@@ -128,7 +128,7 @@ def energy_via_nu(p: PtPotential, n: int) -> float:
 # sin^2(ar) rounds to 0 within about 1e-154/a of r = 0 and to 1 within
 # about 1e-8/a of r_max.  Holding s strictly inside (0, 1) there changes
 # only values below about 1e-8 of the envelope peak (p1, p2 > 1/2).
-_S_RANGE = (sys.float_info.min, 1.0 - sys.float_info.epsilon / 2)
+_S_LO, _S_HI = sys.float_info.min, 1.0 - sys.float_info.epsilon / 2
 
 
 # Largest relative error allowed in a norm.  Its log sums terms of order
@@ -141,8 +141,9 @@ NORM_RTOL = 1e-6
 
 def normalized_wavefunction(p: PtPotential, n: int):
     """(BoundState, callable): level n and its unit-norm radial function
-    norm * R_n of r (scalar or ndarray), from one pass of the template
-    pipeline at the closed-form energy.
+    norm * R_n of r, from one pass of the template pipeline at the
+    closed-form energy.  The callable evaluates a float r (np.float64
+    included) with `math` and gives a float, anything else with numpy.
 
     R_n(r) = C (sin ar)^(2*p1) (cos ar)^(2*p2) P_n^(ja,jb)(cos 2ar), with
     C = exp(log_scale) putting the peak of the envelope s^p1 (1-s)^p2 at
@@ -151,17 +152,24 @@ def normalized_wavefunction(p: PtPotential, n: int):
     becomes the Jacobi weight integral with exponents 2*p1 - 1/2 = ja and
     2*p2 - 1/2 = jb, so it equals C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb).
 
-    Raises DomainError where rounding could move the norm by more than
-    NORM_RTOL: on the paper's potential, for alpha below about 2.8e-7.
+    Raises DomainError where rounding could move the norm, or p2, by more
+    than NORM_RTOL: on the paper's potential, for alpha below about 2.8e-7;
+    at m = 10, V2 = 3, alpha = 1.2, for V1 above about 1.4e10.
     """
     energy = energy_closed_form(p, n)
     eps = 2.0 * p.m * energy
     d = derive_constants(to_nu_family(p).coefficients(eps))
     p1, p2, ja, jb = eigenfunction_factors(d)
-    # both exceed 1/2; p2 is a difference that cancels when v1 dwarfs v2
-    if not (p1 > 0.0 and p2 > 0.0):
-        raise DomainError(f"exponents p1={p1}, p2={p2} lost to rounding at m={p.m}, v1={p.v1}, "
-                          f"v2={p.v2}, alpha={p.alpha}")
+    # p1 = 1/4 + sqrt(a8) and p2 = 1/4 + sqrt(a9) exceed 1/2, but a9 = a6 +
+    # a3*a7 + a3^2*a8 cancels terms of order v1/alpha^2 when v1 dwarfs v2.
+    # Half an ulp of their magnitudes estimates its rounding (the error reached
+    # 1.9 times that in a scan), which moves p2 by that over 2*a3*sqrt(a9);
+    # the test also refuses a p2 that cancels to 0 or below.
+    a3 = d.coeffs.a3
+    a9_error = 0.5 * sys.float_info.epsilon * (abs(d.a6) + abs(a3 * d.a7) + a3 * a3 * abs(d.a8))
+    if not a9_error <= NORM_RTOL * p2 * 2.0 * a3 * d.s9:
+        raise DomainError(f"rounding of a9 by {a9_error:.1e} may move p2={p2} by more than "
+                          f"{NORM_RTOL} of it at m={p.m}, v1={p.v1}, v2={p.v2}, alpha={p.alpha}")
     log_scale = -(p1 * math.log(p1 / (p1 + p2)) + p2 * math.log(p2 / (p1 + p2)))
     ln2 = math.log(2.0)
     log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * ln2
@@ -182,12 +190,17 @@ def normalized_wavefunction(p: PtPotential, n: int):
     r_max = p.r_max
 
     def wavefunction(r):
-        import numpy as np
+        if isinstance(r, float):
+            if not 0.0 < r < r_max:
+                raise DomainError(f"r outside the well (0, {r_max})")
+            s = min(max(math.sin(alpha * r) ** 2, _S_LO), _S_HI)
+        else:
+            import numpy as np
 
-        r_arr = np.asarray(r, dtype=float)
-        if np.any(r_arr <= 0.0) or np.any(r_arr >= r_max):
-            raise DomainError(f"r outside the well (0, {r_max})")
-        s = np.clip(np.sin(alpha * r_arr) ** 2, *_S_RANGE)
+            r = np.asarray(r, dtype=float)
+            if np.any(r <= 0.0) or np.any(r >= r_max):
+                raise DomainError(f"r outside the well (0, {r_max})")
+            s = np.clip(np.sin(alpha * r) ** 2, _S_LO, _S_HI)
         return norm * evaluate_eigenfunction(d, n, s, log_scale)
 
     return BoundState(n=n, energy=energy, eps=eps, norm=norm), wavefunction

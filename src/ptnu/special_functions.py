@@ -34,34 +34,41 @@ def jacobi(n: int, a: float, b: float, x):
 
 
 def jacobi_scaled(n: int, a: float, b: float, x) -> tuple:
-    """(p, e) with P_n^{(a,b)}(x) = p * 2**e: p an ndarray shaped like x,
-    e an int ndarray of that shape, or the int 0 for n < _RESCALE_STEPS.
+    """(p, e) with P_n^{(a,b)}(x) = p * 2**e.  For a float x (np.float64
+    included) p is a float and e an int, computed with `math`; otherwise p
+    is an ndarray shaped like x and e an int ndarray of that shape, or the
+    int 0 for n < _RESCALE_STEPS, computed with numpy.
 
     Every _RESCALE_STEPS steps of the recurrence, both carried terms are
     divided by an exact power of two, so p stays in range however large
     P_n grows, and p * 2**e rounds exactly as the unscaled recurrence
-    would.
+    would.  Both kinds of x take the same steps, so a float gives the bits
+    of a one-element ndarray.
     """
-    import numpy as np
-
     if n < 0:
         raise InvalidIndex(f"polynomial degree must be >= 0, got {n}")
     if a <= -1.0 or b <= -1.0:
         raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
-    x = np.asarray(x, dtype=float)
+    if isinstance(x, float):
+        p_prev, larger, frexp, ldexp = 1.0, max, math.frexp, math.ldexp
+    else:
+        import numpy as np
+
+        x = np.asarray(x, dtype=float)
+        p_prev, larger, frexp, ldexp = np.ones_like(x), np.maximum, np.frexp, np.ldexp
     exponent = 0
-    p_prev = np.ones_like(x)
     if n == 0:
         return p_prev, exponent
     p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
     for k in range(2, n + 1):
         if k % _RESCALE_STEPS == 0:
-            _, shift = np.frexp(np.maximum(np.abs(p), np.abs(p_prev)))
-            p, p_prev = np.ldexp(p, -shift), np.ldexp(p_prev, -shift)
+            _, shift = frexp(larger(abs(p), abs(p_prev)))
+            p, p_prev = ldexp(p, -shift), ldexp(p_prev, -shift)
             exponent = exponent + shift
-        c0 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c1 = (2.0 * k + a + b - 1.0) * ((2.0 * k + a + b) * (2.0 * k + a + b - 2.0) * x + a * a - b * b)
-        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
+        t = 2.0 * k + a + b
+        c0 = 2.0 * k * (k + a + b) * (t - 2.0)
+        c1 = (t - 1.0) * (t * (t - 2.0) * x + a * a - b * b)
+        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * t
         p_prev, p = p, (c1 * p - c2 * p_prev) / c0
     return p, exponent
 

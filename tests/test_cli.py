@@ -388,6 +388,16 @@ def test_invalid_flags_exit_two():
         assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
+@pytest.mark.parametrize("v1,code", [("1e10", 0), ("1e12", 2), ("1e14", 2)])
+def test_wavefunction_refuses_a_p2_lost_to_cancellation(v1, code):
+    # a9 = a6 + a3*a7 + a3^2*a8 cancels terms of order v1/alpha^2 to leave one
+    # of order v2/alpha^2: p2 is off by 2.3e-7 of itself at v1 = 1e10, 1.4e-5
+    # at 1e12 and 1.8e-3 at 1e14, where it used to be printed with exit 0
+    exit_code, out, err = run_main(["wavefunction", "--v1", v1])
+    assert exit_code == code, err
+    assert (out == "") == ("may move p2=" in err) == (code == 2)
+
+
 @pytest.mark.parametrize("argv", [
     ["table2", "--nmax", str(10 ** 160)],
     ["wavefunction", "--n", str(10 ** 160), "--nmax", str(10 ** 160)],
@@ -452,10 +462,11 @@ def test_cli_import_does_not_load_scipy():
     ("import ptnu", {"numpy", "scipy"}),
     ("from ptnu.cli import main; main(['table2'])", {"numpy", "scipy"}),
     ("from ptnu.cli import main; main(['limit'])", {"numpy", "scipy"}),
-    ("from ptnu.cli import main; main(['wavefunction'])", {"scipy"}),
+    ("from ptnu.cli import main; main(['wavefunction'])", {"numpy", "scipy"}),
 ])
 def test_closed_form_commands_do_not_load_array_libraries(code, absent):
-    # table2 and limit need only the math module; wavefunction needs numpy alone
+    # table2 and limit need only the closed form, and wavefunction evaluates
+    # its samples one float at a time: all three need only the math module
     probe = f"import sys; {code}; print(*{{m.split('.')[0] for m in sys.modules}})"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=CHILD_ENV)

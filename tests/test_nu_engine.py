@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import TABLE2_ALPHAS, reference_potential
+from helpers import M_REF, TABLE2_ALPHAS, reference_potential
 from ptnu import (
     NuCoefficients,
+    PtPotential,
     SpectralFamily,
     derive_constants,
     eigenfunction_factors,
@@ -426,6 +427,18 @@ def test_eigenfunction_first_excited_at_midpoint():
     # P_1^(a,b)(0) = (a - b)/2 from the explicit degree-1 form
     expected = 0.5 ** p1 * 0.5 ** p2 * (ja - jb) / 2.0
     assert evaluate_eigenfunction(d, 1, 0.5, 0.0) == pytest.approx(expected, rel=1e-14)
+
+
+def test_eigenfunction_is_zero_at_a_zero_of_the_polynomial():
+    # V1 = V2 makes ja = jb, so P_1 is 0 at x = 1 - 2s = 0; math.log(0.0)
+    # raises where numpy's log gives -inf, and both paths return 0.0
+    p = PtPotential(M_REF, 3.0, 3.0, 1.2)
+    d = derive_constants(to_nu_family(p).coefficients(2.0 * p.m * energy_closed_form(p, 1)))
+    _, _, ja, jb = eigenfunction_factors(d)
+    assert ja == jb
+    value = evaluate_eigenfunction(d, 1, 0.5, 0.0)
+    assert type(value) is float and value == 0.0
+    assert evaluate_eigenfunction(d, 1, np.array([0.5]), 0.0).tolist() == [0.0]
 
 
 def test_eigenfunction_vanishes_at_origin():

@@ -130,6 +130,15 @@ def test_closed_form_overflow_is_a_domain_error(m, alpha):
             compute(p)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_quantum_numbers_too_long_to_print_are_domain_errors(sign):
+    # Python refuses to print an int of over 4,300 digits in decimal, so the
+    # messages give its bit length instead of ending in a bare ValueError
+    for compute in (energy_closed_form, energy_via_nu):
+        with pytest.raises(DomainError, match="int of 16610 bits"):
+            compute(PT_REF, sign * 10 ** 5000)
+
+
 @pytest.mark.parametrize("n", [10 ** 155, 10 ** 160, 10 ** 308, 10 ** 309, 10 ** 400])
 def test_huge_quantum_numbers_are_domain_errors(n):
     # (n + 0.5) ** 2 overflows from n about 1e154, and n itself leaves float
@@ -404,10 +413,22 @@ def test_wavefunction_vanishes_at_both_ends():
 
 def test_wavefunction_domain_error():
     r_fn = normalized_wavefunction(PT_REF, 0)[1]
-    with pytest.raises(DomainError):
-        r_fn(0.0)
-    with pytest.raises(DomainError):
-        r_fn(PT_REF.r_max)
+    for r in (0.0, PT_REF.r_max, np.array([1.0, 0.0]), np.array([PT_REF.r_max])):
+        with pytest.raises(DomainError):
+            r_fn(r)
+
+
+@pytest.mark.parametrize("alpha", TABLE2_ALPHAS)
+def test_wavefunction_of_a_float_matches_the_array_path(alpha):
+    # a float r is evaluated with math, an ndarray with numpy; sin, log and
+    # exp may differ in the last bit between the two libraries
+    p = reference_potential(alpha)
+    r = p.r_max * np.arange(1, 401) / 401
+    for n in range(7):
+        r_fn = normalized_wavefunction(p, n)[1]
+        from_floats = [r_fn(x) for x in r.tolist()]
+        assert all(type(value) is float for value in from_floats)
+        np.testing.assert_allclose(from_floats, r_fn(r), rtol=1e-10, atol=0.0)
 
 
 def test_node_counts():

@@ -133,6 +133,18 @@ def test_jacobi_scaled_matches_mpmath(n, a, b):
                 assert jacobi(n, a, b, xi) == pytest.approx(float(exact), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 40])
+@pytest.mark.parametrize("a,b", [(3.2, 7.1), (5000.0, 4000.0)])
+def test_jacobi_scaled_float_gives_the_bits_of_an_array(n, a, b):
+    # from n = 16 the recurrence rescales: math's frexp and ldexp on a float,
+    # numpy's on an ndarray, with the same (p, e) bit for bit
+    for x in (-0.999, -0.3, 0.0, 0.41, 0.97, 1.0):
+        p, exponent = jacobi_scaled(n, a, b, x)
+        p_arr, e_arr = jacobi_scaled(n, a, b, np.array([x]))
+        assert type(p) is float and type(exponent) is int
+        assert (p.hex(), exponent) == (float(p_arr[0]).hex(), int(e_arr[0]))
+
+
 @pytest.mark.parametrize("n,a,b", [(-1, 0.0, 0.0), (2, -1.0, 0.0), (2, 0.0, -1.5)])
 def test_jacobi_invalid_index(n, a, b):
     with pytest.raises(InvalidIndex):
