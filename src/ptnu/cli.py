@@ -34,10 +34,13 @@ FORMATS = ("csv", "tsv", "json")
 # that every command ends within seconds.  MAX_POINTS bounds the samples of
 # wavefunction and the grid of verify.  verify's time per alpha, measured,
 # grows as (nmax + 2) * grid_points: a grid costs about as much as a level.
+# wavefunction's grows as (n + 1) * points: each sample runs the n steps of
+# the Jacobi recurrence in the interpreter.
 MAX_NMAX = 1000
 MAX_ALPHAS = 100
 MAX_POINTS = 100_000
 MAX_VERIFY_WORK = 4_000_000
+MAX_WAVEFUNCTION_WORK = 10_000_000
 MAX_CONFIG_CHARS = 65_536
 
 
@@ -124,6 +127,8 @@ def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
         raise ConfigError(f"need 0 <= n <= nmax={config.n_max}, got n={n}")
     if not 2 <= points <= MAX_POINTS:
         raise ConfigError(f"need 2 <= points <= {MAX_POINTS}, got {points}")
+    if (n + 1) * points > MAX_WAVEFUNCTION_WORK:
+        raise ConfigError(f"need (n + 1) * points <= {MAX_WAVEFUNCTION_WORK}, got {(n + 1) * points}")
     p = PtPotential(config.m, config.v1, config.v2, config.alphas[0])
     _, r_fn = normalized_wavefunction(p, n)
     r = [p.r_max * float(i) / (points + 1) for i in range(1, points + 1)]

@@ -24,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .errors import DomainError, NegativeDiscriminant, NonConvergence, NoSignChange, ZeroA3
-from .special_functions import jacobi_scaled
+from .special_functions import jacobi_recurrence
 
 
 def checked_record(name: str, fields: str):
@@ -76,24 +76,27 @@ class NuDerived(namedtuple("NuDerived", "coeffs a4 a5 a6 a7 a8 a9 a10 a11 a12 a1
     __slots__ = ()
 
 
-def _roots(c: NuCoefficients) -> tuple[float, float, float, float, float, float, float, float]:
-    """(a4, a5, a6, a7, a8, a9, sqrt(a8), sqrt(a9)).  Raises
-    NegativeDiscriminant when a8 < 0 or a9 < 0: the method then does not apply."""
+def _roots(c: NuCoefficients, a9: float | None = None) -> tuple[float, ...]:
+    """(a4, a5, a6, a7, a8, a9, sqrt(a8), sqrt(a9)); an a9 given replaces
+    a3*a7 + a3^2*a8 + a6.  Raises NegativeDiscriminant when a8 < 0 or
+    a9 < 0: the method then does not apply."""
     a1, a2, a3, x1, x2, x3 = c
     a4 = 0.5 * (1.0 - a1)
     a5 = 0.5 * (a2 - 2.0 * a3)
     a6 = a5 * a5 + x1
     a7 = 2.0 * a4 * a5 - x2
     a8 = a4 * a4 + x3
-    a9 = a3 * a7 + a3 * a3 * a8 + a6
+    a9 = a3 * a7 + a3 * a3 * a8 + a6 if a9 is None else a9
     if a8 < 0.0 or a9 < 0.0:
         raise NegativeDiscriminant(f"need a8 >= 0 and a9 >= 0, got a8={a8}, a9={a9}")
     return a4, a5, a6, a7, a8, a9, math.sqrt(a8), math.sqrt(a9)
 
 
-def derive_constants(c: NuCoefficients) -> NuDerived:
-    """Run the constant pipeline a4..a13; raises as `_roots`."""
-    a4, a5, a6, a7, a8, a9, s8, s9 = _roots(c)
+def derive_constants(c: NuCoefficients, a9: float | None = None) -> NuDerived:
+    """Run the constant pipeline a4..a13; raises as `_roots`.  a9 = (a5 +
+    a3*a4)^2 + x1 - a3*x2 + a3^2*x3 cancels where x1..x3 dwarf it, so a
+    family that has it in closed form may pass it."""
+    a4, a5, a6, a7, a8, a9, s8, s9 = _roots(c, a9)
     k = -(a7 + 2.0 * c.a3 * a8) - 2.0 * math.sqrt(a8 * a9)
     a10 = c.a1 + 2.0 * a4 + 2.0 * s8
     a11 = c.a2 - 2.0 * a5 + 2.0 * (s9 + c.a3 * s8)
@@ -248,30 +251,40 @@ def evaluate_eigenfunction(d: NuDerived, n: int, s, log_scale: float):
     P comes as p * 2**e from `jacobi_scaled`, so log|P| = log|p| + e*log(2)
     stays finite where P itself would overflow; where P is 0, so is psi.
     """
+    return eigenfunction(d, n, log_scale)(s)
+
+
+def eigenfunction(d: NuDerived, n: int, log_scale: float):
+    """The function s -> `evaluate_eigenfunction(d, n, s, log_scale)`; the
+    factors and the Jacobi step coefficients are computed once, here."""
     p1, p2, ja, jb = eigenfunction_factors(d)
     a3 = d.coeffs.a3
-    if isinstance(s, float):
-        inside = 0.0 < s < 1.0 / a3
-    else:
-        import numpy as np
+    s_max, ln2, jacobi = 1.0 / a3, math.log(2.0), jacobi_recurrence(n, ja, jb)
 
-        s = np.asarray(s, dtype=float)
-        inside = np.all((s > 0.0) & (s < 1.0 / a3))
-    if not inside:
-        raise DomainError(f"s outside (0, {1.0 / a3})")
-    poly, exponent = jacobi_scaled(n, ja, jb, 1.0 - 2.0 * a3 * s)
+    def psi(s):
+        if isinstance(s, float):
+            inside = 0.0 < s < s_max
+        else:
+            import numpy as np
 
-    def log_value(log, log1p):
-        return (log_scale + exponent * math.log(2.0) + p1 * log(s)
-                + p2 * log1p(-a3 * s) + log(abs(poly)))
+            s = np.asarray(s, dtype=float)
+            inside = np.all((s > 0.0) & (s < s_max))
+        if not inside:
+            raise DomainError(f"s outside (0, {s_max})")
+        poly, exponent = jacobi(1.0 - 2.0 * a3 * s)
 
-    if isinstance(s, float):
-        try:  # math.log(0.0) raises, and numpy's log(0) = -inf gives 0.0 too
-            return math.copysign(math.exp(log_value(math.log, math.log1p)), poly) if poly else 0.0
-        except OverflowError:
-            raise DomainError("eigenfunction overflow") from None
-    with np.errstate(divide="ignore"):
-        value = np.sign(poly) * np.exp(log_value(np.log, np.log1p))
-    if not np.all(np.isfinite(value)):
-        raise DomainError("eigenfunction overflow")
-    return value if value.ndim else float(value)
+        def log_value(log, log1p):
+            return log_scale + exponent * ln2 + p1 * log(s) + p2 * log1p(-a3 * s) + log(abs(poly))
+
+        if isinstance(s, float):
+            try:  # math.log(0.0) raises, and numpy's log(0) = -inf gives 0.0 too
+                return math.copysign(math.exp(log_value(math.log, math.log1p)), poly) if poly else 0.0
+            except OverflowError:
+                raise DomainError("eigenfunction overflow") from None
+        with np.errstate(divide="ignore"):
+            value = np.sign(poly) * np.exp(log_value(np.log, np.log1p))
+        if not np.all(np.isfinite(value)):
+            raise DomainError("eigenfunction overflow")
+        return value if value.ndim else float(value)
+
+    return psi

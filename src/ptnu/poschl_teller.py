@@ -18,8 +18,8 @@ import sys
 from collections import namedtuple
 
 from .errors import DomainError, NonFinite
-from .nu import (SpectralFamily, checked_record, derive_constants, eigenfunction_factors,
-                 evaluate_eigenfunction, index_text, solve_energy)
+from .nu import (SpectralFamily, checked_record, derive_constants, eigenfunction,
+                 eigenfunction_factors, index_text, solve_energy)
 from .special_functions import jacobi_log_norm
 
 
@@ -152,24 +152,20 @@ def normalized_wavefunction(p: PtPotential, n: int):
     becomes the Jacobi weight integral with exponents 2*p1 - 1/2 = ja and
     2*p2 - 1/2 = jb, so it equals C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb).
 
-    Raises DomainError where rounding could move the norm, or p2, by more
-    than NORM_RTOL: on the paper's potential, for alpha below about 2.8e-7;
-    at m = 10, V2 = 3, alpha = 1.2, for V1 above about 1.4e10.
+    Raises DomainError where rounding could move the norm by more than
+    NORM_RTOL: on the paper's potential, for alpha below about 2.8e-7.
     """
     energy = energy_closed_form(p, n)
     eps = 2.0 * p.m * energy
-    d = derive_constants(to_nu_family(p).coefficients(eps))
+    # The template's a9 cancels terms of order v1/alpha^2 to leave this one,
+    # so p2 = 1/4 + sqrt(a9) keeps its digits as v1 outgrows v2.  p2 and jb
+    # still lose a few ulp of sqrt(a8) ~ ja/2, which the norm check bounds.
+    d = derive_constants(to_nu_family(p).coefficients(eps),
+                         0.0625 + p.v2_prime / (4.0 * p.alpha * p.alpha))
     p1, p2, ja, jb = eigenfunction_factors(d)
-    # p1 = 1/4 + sqrt(a8) and p2 = 1/4 + sqrt(a9) exceed 1/2, but a9 = a6 +
-    # a3*a7 + a3^2*a8 cancels terms of order v1/alpha^2 when v1 dwarfs v2.
-    # Half an ulp of their magnitudes estimates its rounding (the error reached
-    # 1.9 times that in a scan), which moves p2 by that over 2*a3*sqrt(a9);
-    # the test also refuses a p2 that cancels to 0 or below.
-    a3 = d.coeffs.a3
-    a9_error = 0.5 * sys.float_info.epsilon * (abs(d.a6) + abs(a3 * d.a7) + a3 * a3 * abs(d.a8))
-    if not a9_error <= NORM_RTOL * p2 * 2.0 * a3 * d.s9:
-        raise DomainError(f"rounding of a9 by {a9_error:.1e} may move p2={p2} by more than "
-                          f"{NORM_RTOL} of it at m={p.m}, v1={p.v1}, v2={p.v2}, alpha={p.alpha}")
+    if not (p1 > 0.0 and p2 > 0.0):
+        raise DomainError(f"exponents p1={p1}, p2={p2} lost to rounding at m={p.m}, v1={p.v1}, "
+                          f"v2={p.v2}, alpha={p.alpha}")
     log_scale = -(p1 * math.log(p1 / (p1 + p2)) + p2 * math.log(p2 / (p1 + p2)))
     ln2 = math.log(2.0)
     log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * ln2
@@ -188,6 +184,7 @@ def normalized_wavefunction(p: PtPotential, n: int):
     norm = math.exp(-0.5 * log_integral)
     alpha = p.alpha
     r_max = p.r_max
+    psi = eigenfunction(d, n, log_scale)
 
     def wavefunction(r):
         if isinstance(r, float):
@@ -201,7 +198,7 @@ def normalized_wavefunction(p: PtPotential, n: int):
             if np.any(r <= 0.0) or np.any(r >= r_max):
                 raise DomainError(f"r outside the well (0, {r_max})")
             s = np.clip(np.sin(alpha * r) ** 2, _S_LO, _S_HI)
-        return norm * evaluate_eigenfunction(d, n, s, log_scale)
+        return norm * psi(s)
 
     return BoundState(n=n, energy=energy, eps=eps, norm=norm), wavefunction
 

@@ -45,32 +45,45 @@ def jacobi_scaled(n: int, a: float, b: float, x) -> tuple:
     would.  Both kinds of x take the same steps, so a float gives the bits
     of a one-element ndarray.
     """
+    return jacobi_recurrence(n, a, b)(x)
+
+
+def jacobi_recurrence(n: int, a: float, b: float):
+    """The function x -> `jacobi_scaled(n, a, b, x)`; the coefficients of
+    the n - 1 steps are computed once, here, not per x."""
     if n < 0:
         raise InvalidIndex(f"polynomial degree must be >= 0, got {n}")
     if a <= -1.0 or b <= -1.0:
         raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
-    if isinstance(x, float):
-        p_prev, larger, frexp, ldexp = 1.0, max, math.frexp, math.ldexp
-    else:
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        p_prev, larger, frexp, ldexp = np.ones_like(x), np.maximum, np.frexp, np.ldexp
-    exponent = 0
-    if n == 0:
-        return p_prev, exponent
-    p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    # P_k = ((t-1) (t (t-2) x + a^2 - b^2) P_{k-1} - c2 P_{k-2}) / c0, t = 2k + a + b
+    steps = []
     for k in range(2, n + 1):
-        if k % _RESCALE_STEPS == 0:
-            _, shift = frexp(larger(abs(p), abs(p_prev)))
-            p, p_prev = ldexp(p, -shift), ldexp(p_prev, -shift)
-            exponent = exponent + shift
         t = 2.0 * k + a + b
-        c0 = 2.0 * k * (k + a + b) * (t - 2.0)
-        c1 = (t - 1.0) * (t * (t - 2.0) * x + a * a - b * b)
-        c2 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * t
-        p_prev, p = p, (c1 * p - c2 * p_prev) / c0
-    return p, exponent
+        steps.append((k % _RESCALE_STEPS == 0, 2.0 * k * (k + a + b) * (t - 2.0), t - 1.0,
+                      t * (t - 2.0), 2.0 * (k + a - 1.0) * (k + b - 1.0) * t))
+    a_sq, b_sq = a * a, b * b
+
+    def scaled(x):
+        if isinstance(x, float):
+            p_prev, larger, frexp, ldexp = 1.0, max, math.frexp, math.ldexp
+        else:
+            import numpy as np
+
+            x = np.asarray(x, dtype=float)
+            p_prev, larger, frexp, ldexp = np.ones_like(x), np.maximum, np.frexp, np.ldexp
+        exponent = 0
+        if n == 0:
+            return p_prev, exponent
+        p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+        for rescale, c0, t_minus_1, t_t_minus_2, c2 in steps:
+            if rescale:
+                _, shift = frexp(larger(abs(p), abs(p_prev)))
+                p, p_prev = ldexp(p, -shift), ldexp(p_prev, -shift)
+                exponent = exponent + shift
+            p_prev, p = p, (t_minus_1 * (t_t_minus_2 * x + a_sq - b_sq) * p - c2 * p_prev) / c0
+        return p, exponent
+
+    return scaled
 
 
 def jacobi_log_norm(n: int, a: float, b: float) -> float:

@@ -479,6 +479,26 @@ def test_normalize_bookkeeping():
     assert state == (2, state.energy, state.eps, state.norm)
 
 
+@pytest.mark.parametrize("v1", [1e10, 1e12, 1e14])
+def test_wavefunction_exponent_p2_keeps_its_digits_when_v1_dwarfs_v2(v1):
+    # the template's a9 cancels terms of order v1/alpha^2 to leave one of order
+    # v2/alpha^2; taken from that sum, p2 was off by 2.3e-7 of itself at
+    # v1 = 1e10, 1.4e-5 at 1e12 and 1.8e-3 at 1e14
+    derived = []
+
+    def derive(*args):
+        derived.append(nu.derive_constants(*args))
+        return derived[-1]
+
+    with mock.patch.object(pt, "derive_constants", side_effect=derive):
+        normalized_wavefunction(PtPotential(M_REF, v1, V2_REF, 1.2), 0)
+    _, p2, _, jb = nu.eigenfunction_factors(derived[0])
+    m, v2, alpha = (mpmath.mpf(x) for x in (M_REF, V2_REF, 1.2))
+    exact = 0.25 + mpmath.sqrt(0.0625 + 2 * m * v2 / (4 * alpha ** 2))
+    assert abs(p2 - exact) <= 1e-9 * exact
+    assert abs(jb - (2 * exact - 0.5)) <= 1e-9 * exact
+
+
 def test_normalized_wavefunction_derives_once():
     # one closed form, one family, one constant chain and one set of
     # factors serve both the state and its callable, and normalize is
