@@ -10,13 +10,11 @@ from . import errors
 
 _EXPORTS = {
     "nu": (
-        "NuCoefficients", "NuDerived", "SpectralFamily", "derive_constants",
-        "eigenfunction_factors", "evaluate_eigenfunction", "quantization_residual",
-        "solve_energy", "tau_prime",
+        "NuCoefficients", "NuDerived", "SpectralFamily", "derive_constants", "eigenfunction",
+        "eigenfunction_factors", "quantization_residual", "solve_energy",
     ),
     "oracle": (
-        "RadialOperator", "discretize", "eigenvector", "lowest_eigenvalues", "ode_residual",
-        "richardson",
+        "RadialOperator", "discretize", "lowest_eigenvalues", "ode_residual", "richardson",
     ),
     "poschl_teller": (
         "BoundState", "PtPotential", "alpha_zero_limit", "energy_closed_form",

@@ -24,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .errors import DomainError, NegativeDiscriminant, NonConvergence, NoSignChange, ZeroA3
-from .special_functions import jacobi_recurrence
+from .special_functions import jacobi_scaled
 
 
 def checked_record(name: str, fields: str):
@@ -103,15 +103,6 @@ def derive_constants(c: NuCoefficients, a9: float | None = None) -> NuDerived:
     a12 = a4 + s8
     a13 = a5 - (s9 + c.a3 * s8)
     return NuDerived(c, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, k, s8, s9)
-
-
-def tau_prime(d: NuDerived) -> float:
-    """Slope of the linear tau polynomial.
-
-    The method requires a negative slope for a physical solution family;
-    the sign is a validity flag for the caller, not an error here.
-    """
-    return -2.0 * d.coeffs.a3 - 2.0 * (d.s9 + d.coeffs.a3 * d.s8)
 
 
 def index_text(n) -> str:
@@ -241,8 +232,9 @@ def eigenfunction_factors(d: NuDerived) -> tuple[float, float, float, float]:
     return p1, p2, ja, jb
 
 
-def evaluate_eigenfunction(d: NuDerived, n: int, s, log_scale: float):
-    """exp(log_scale) * psi(s), psi(s) = s^p1 (1-a3*s)^p2 P_n^(ja,jb)(1-2*a3*s).
+def eigenfunction(d: NuDerived, n: int, log_scale: float):
+    """s -> exp(log_scale) * psi(s), psi(s) = s^p1 (1-a3*s)^p2 P_n^(ja,jb)(1-2*a3*s);
+    the factors and the Jacobi step coefficients are computed once, here.
 
     Accepts s in (0, 1/a3): a float (np.float64 included) is evaluated with
     `math` and gives a float, anything else with numpy.  The factors are
@@ -251,15 +243,9 @@ def evaluate_eigenfunction(d: NuDerived, n: int, s, log_scale: float):
     P comes as p * 2**e from `jacobi_scaled`, so log|P| = log|p| + e*log(2)
     stays finite where P itself would overflow; where P is 0, so is psi.
     """
-    return eigenfunction(d, n, log_scale)(s)
-
-
-def eigenfunction(d: NuDerived, n: int, log_scale: float):
-    """The function s -> `evaluate_eigenfunction(d, n, s, log_scale)`; the
-    factors and the Jacobi step coefficients are computed once, here."""
     p1, p2, ja, jb = eigenfunction_factors(d)
     a3 = d.coeffs.a3
-    s_max, ln2, jacobi = 1.0 / a3, math.log(2.0), jacobi_recurrence(n, ja, jb)
+    s_max, ln2, jacobi = 1.0 / a3, math.log(2.0), jacobi_scaled(n, ja, jb)
 
     def psi(s):
         if isinstance(s, float):

@@ -80,31 +80,6 @@ def richardson(e_h: float, e_h2: float) -> float:
     return (4.0 * e_h2 - e_h) / 3.0
 
 
-def eigenvector(op: RadialOperator, eigenvalue: float) -> np.ndarray:
-    """Unit eigenvector by inverse iteration at the converged eigenvalue.
-
-    Each of the four steps is one LAPACK tridiagonal solve (gtsv, partial
-    pivoting) of the shifted operator, which is nearly singular on
-    purpose.  The shift sits 4 ulp off the eigenvalue, as close as dstebz
-    resolves it, so an eigenvalue equal to a decoupled diagonal entry
-    leaves a nonzero pivot instead of an exactly singular solve.
-    """
-    import scipy.linalg
-
-    shifted = np.empty((3, op.n_points))
-    shifted[0] = shifted[2] = op.offdiag
-    shifted[1] = op.diag - (eigenvalue + 4.0 * np.spacing(eigenvalue))
-    rng = np.random.default_rng(8671)
-    v = rng.standard_normal(op.n_points)
-    v /= np.linalg.norm(v)
-    for _ in range(4):
-        v = scipy.linalg.solve_banded((1, 1), shifted, v)
-        v /= np.linalg.norm(v)
-    if v[np.argmax(np.abs(v))] < 0.0:
-        v = -v
-    return v
-
-
 def ode_residual(wavefunction, p: PtPotential, energy: float, samples) -> float:
     """Scaled worst-case defect of R'' + (eps - V')R over the samples.
 

@@ -195,7 +195,7 @@ def normalized_wavefunction(p: PtPotential, n: int):
             import numpy as np
 
             r = np.asarray(r, dtype=float)
-            if np.any(r <= 0.0) or np.any(r >= r_max):
+            if not np.all((r > 0.0) & (r < r_max)):
                 raise DomainError(f"r outside the well (0, {r_max})")
             s = np.clip(np.sin(alpha * r) ** 2, _S_LO, _S_HI)
         return norm * psi(s)

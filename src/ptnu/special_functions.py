@@ -20,6 +20,13 @@ if TYPE_CHECKING:
 _RESCALE_STEPS = 16
 
 
+def _check_jacobi(n: int, a: float, b: float) -> None:
+    if n < 0:
+        raise InvalidIndex(f"polynomial degree must be >= 0, got {n}")
+    if not (a > -1.0 and b > -1.0):  # written so that a NaN fails it too
+        raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
+
+
 def jacobi(n: int, a: float, b: float, x):
     """P_n^{(a,b)}(x) by the three-term recurrence in n.
 
@@ -28,13 +35,14 @@ def jacobi(n: int, a: float, b: float, x):
     """
     import numpy as np
 
-    p, exponent = jacobi_scaled(n, a, b, x)
+    p, exponent = jacobi_scaled(n, a, b)(x)
     p = np.ldexp(p, exponent)
     return p if p.ndim else float(p)
 
 
-def jacobi_scaled(n: int, a: float, b: float, x) -> tuple:
-    """(p, e) with P_n^{(a,b)}(x) = p * 2**e.  For a float x (np.float64
+def jacobi_scaled(n: int, a: float, b: float):
+    """The function x -> (p, e) with P_n^{(a,b)}(x) = p * 2**e, the n - 1
+    step coefficients computed once, here.  For a float x (np.float64
     included) p is a float and e an int, computed with `math`; otherwise p
     is an ndarray shaped like x and e an int ndarray of that shape, or the
     int 0 for n < _RESCALE_STEPS, computed with numpy.
@@ -45,16 +53,7 @@ def jacobi_scaled(n: int, a: float, b: float, x) -> tuple:
     would.  Both kinds of x take the same steps, so a float gives the bits
     of a one-element ndarray.
     """
-    return jacobi_recurrence(n, a, b)(x)
-
-
-def jacobi_recurrence(n: int, a: float, b: float):
-    """The function x -> `jacobi_scaled(n, a, b, x)`; the coefficients of
-    the n - 1 steps are computed once, here, not per x."""
-    if n < 0:
-        raise InvalidIndex(f"polynomial degree must be >= 0, got {n}")
-    if a <= -1.0 or b <= -1.0:
-        raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
+    _check_jacobi(n, a, b)
     # P_k = ((t-1) (t (t-2) x + a^2 - b^2) P_{k-1} - c2 P_{k-2}) / c0, t = 2k + a + b
     steps = []
     for k in range(2, n + 1):
@@ -94,10 +93,7 @@ def jacobi_log_norm(n: int, a: float, b: float) -> float:
 
     computed from log-gamma values, so it stays finite for large indices.
     """
-    if n < 0:
-        raise InvalidIndex(f"polynomial degree must be >= 0, got {n}")
-    if a <= -1.0 or b <= -1.0:
-        raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
+    _check_jacobi(n, a, b)
     c = a + b + 1.0
     # (2n+c) G(n+c) reduces to G(c+1) at n = 0, which also covers c = 0
     tail = math.lgamma(c + 1.0) if n == 0 else math.log(2.0 * n + c) + math.lgamma(n + c)

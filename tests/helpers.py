@@ -1,4 +1,5 @@
-"""Shared fixtures: published spectrum strings and small numeric utilities."""
+"""Shared fixtures: published spectrum strings and small numeric utilities,
+and an inverse-iteration eigenvector of the finite-difference operator."""
 import itertools
 
 import numpy as np
@@ -69,3 +70,29 @@ def norm_by_quadrature(r_fn, r_max: float) -> float:
     # sample k sits at edges[k + 1]
     lo, hi = edges[inside[0]], edges[inside[-1] + 2]
     return integrate(lambda r: r_fn(r) ** 2, lo, hi, 64)[0]
+
+
+def eigenvector(op, eigenvalue: float) -> np.ndarray:
+    """Unit eigenvector of the `ptnu.RadialOperator` op by inverse iteration
+    at the converged eigenvalue.
+
+    Each of the four steps is one LAPACK tridiagonal solve (gtsv, partial
+    pivoting) of the shifted operator, which is nearly singular on
+    purpose.  The shift sits 4 ulp off the eigenvalue, as close as dstebz
+    resolves it, so an eigenvalue equal to a decoupled diagonal entry
+    leaves a nonzero pivot instead of an exactly singular solve.
+    """
+    import scipy.linalg
+
+    shifted = np.empty((3, op.n_points))
+    shifted[0] = shifted[2] = op.offdiag
+    shifted[1] = op.diag - (eigenvalue + 4.0 * np.spacing(eigenvalue))
+    rng = np.random.default_rng(8671)
+    v = rng.standard_normal(op.n_points)
+    v /= np.linalg.norm(v)
+    for _ in range(4):
+        v = scipy.linalg.solve_banded((1, 1), shifted, v)
+        v /= np.linalg.norm(v)
+    if v[np.argmax(np.abs(v))] < 0.0:
+        v = -v
+    return v

@@ -1,10 +1,11 @@
 """Independent references that only the tests use.
 
 The explicit finite-sum form of the Jacobi polynomials checks the
-three-term recurrence in `ptnu.special_functions`, and `potential_value`
-evaluates the well pointwise for the limit-law and floor checks.  Neither
-runs through the package code it checks: this module imports only math,
-numpy and `ptnu.errors`.
+three-term recurrence in `ptnu.special_functions`, `potential_value`
+evaluates the well pointwise for the limit-law and floor checks, and
+`tau_prime` reads the slope of the template's tau off its derived
+constants.  None runs through the package code it checks: this module
+imports only math, numpy and `ptnu.errors`.
 """
 import math
 
@@ -63,3 +64,13 @@ def potential_value(p, r: float) -> float:
         raise DomainError(f"r={r} outside the well (0, {p.r_max})")
     a_r = p.alpha * r
     return p.v1 / math.sin(a_r) ** 2 + p.v2 / math.cos(a_r) ** 2
+
+
+def tau_prime(d) -> float:
+    """Slope of the linear tau polynomial of the `ptnu.NuDerived` d.
+
+    The method requires a negative slope for a physical solution family.
+    On the principal branch tau' = -2*a3 - 2*(sqrt(a9) + a3*sqrt(a8)) with
+    a3 >= 0, so tau' <= 0 always: no production path needs the flag.
+    """
+    return -2.0 * d.coeffs.a3 - 2.0 * (d.s9 + d.coeffs.a3 * d.s8)

@@ -30,10 +30,9 @@ from ptnu import (
     ode_residual,
     richardson,
     spectrum_table,
-    tau_prime,
     to_nu_family,
 )
-from references import jacobi_sum
+from references import jacobi_sum, tau_prime
 
 ORACLE_ALPHAS = (1.2, 0.8, 0.4)
 

@@ -10,12 +10,11 @@ from ptnu import (
     PtPotential,
     SpectralFamily,
     derive_constants,
+    eigenfunction,
     eigenfunction_factors,
     energy_closed_form,
-    evaluate_eigenfunction,
     quantization_residual,
     solve_energy,
-    tau_prime,
     to_nu_family,
 )
 from ptnu.errors import (
@@ -25,6 +24,7 @@ from ptnu.errors import (
     NoSignChange,
     ZeroA3,
 )
+from references import tau_prime
 
 PT_REF = reference_potential(1.2)
 
@@ -417,8 +417,8 @@ def test_eigenfunction_ground_state_is_power_product():
     with mpmath.workdps(30):
         expected = [float(mpmath.mpf(s) ** p1 * (1 - mpmath.mpf(s)) ** p2) for s in samples]
     for s, value in zip(samples, expected):
-        assert evaluate_eigenfunction(d, 0, s, 0.0) == pytest.approx(value, rel=1e-14)
-    assert np.allclose(evaluate_eigenfunction(d, 0, samples, 0.0), expected, rtol=1e-14, atol=0.0)
+        assert eigenfunction(d, 0, 0.0)(s) == pytest.approx(value, rel=1e-14)
+    assert np.allclose(eigenfunction(d, 0, 0.0)(samples), expected, rtol=1e-14, atol=0.0)
 
 
 def test_eigenfunction_first_excited_at_midpoint():
@@ -426,7 +426,7 @@ def test_eigenfunction_first_excited_at_midpoint():
     p1, p2, ja, jb = eigenfunction_factors(d)
     # P_1^(a,b)(0) = (a - b)/2 from the explicit degree-1 form
     expected = 0.5 ** p1 * 0.5 ** p2 * (ja - jb) / 2.0
-    assert evaluate_eigenfunction(d, 1, 0.5, 0.0) == pytest.approx(expected, rel=1e-14)
+    assert eigenfunction(d, 1, 0.0)(0.5) == pytest.approx(expected, rel=1e-14)
 
 
 def test_eigenfunction_is_zero_at_a_zero_of_the_polynomial():
@@ -436,20 +436,20 @@ def test_eigenfunction_is_zero_at_a_zero_of_the_polynomial():
     d = derive_constants(to_nu_family(p).coefficients(2.0 * p.m * energy_closed_form(p, 1)))
     _, _, ja, jb = eigenfunction_factors(d)
     assert ja == jb
-    value = evaluate_eigenfunction(d, 1, 0.5, 0.0)
+    value = eigenfunction(d, 1, 0.0)(0.5)
     assert type(value) is float and value == 0.0
-    assert evaluate_eigenfunction(d, 1, np.array([0.5]), 0.0).tolist() == [0.0]
+    assert eigenfunction(d, 1, 0.0)(np.array([0.5])).tolist() == [0.0]
 
 
 def test_eigenfunction_vanishes_at_origin():
     d = derive_constants(pt_coefficients())
-    assert abs(evaluate_eigenfunction(d, 0, 1e-9, 0.0)) < 1e-30
+    assert abs(eigenfunction(d, 0, 0.0)(1e-9)) < 1e-30
 
 
 def test_eigenfunction_domain_checks():
     d = derive_constants(pt_coefficients())
     for s in (0.0, -0.5, 1.0, 1.5):
         with pytest.raises(DomainError):
-            evaluate_eigenfunction(d, 0, s, 0.0)
+            eigenfunction(d, 0, 0.0)(s)
     with pytest.raises(DomainError):
-        evaluate_eigenfunction(d, 0, np.array([0.5, 1.0]), 0.0)
+        eigenfunction(d, 0, 0.0)(np.array([0.5, 1.0]))

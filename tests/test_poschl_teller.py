@@ -418,6 +418,17 @@ def test_wavefunction_domain_error():
             r_fn(r)
 
 
+@pytest.mark.parametrize("r", [math.nan, 0.0, -1.0, PT_REF.r_max])
+def test_wavefunction_refuses_a_float_and_an_array_alike(r):
+    # a NaN r must fail the ndarray check too, not reach the s check
+    r_fn = normalized_wavefunction(PT_REF, 0)[1]
+    with pytest.raises(DomainError) as from_float:
+        r_fn(r)
+    with pytest.raises(DomainError) as from_array:
+        r_fn(np.array([r]))
+    assert str(from_array.value) == str(from_float.value) == f"r outside the well (0, {PT_REF.r_max})"
+
+
 @pytest.mark.parametrize("alpha", TABLE2_ALPHAS)
 def test_wavefunction_of_a_float_matches_the_array_path(alpha):
     # a float r is evaluated with math, an ndarray with numpy; sin, log and

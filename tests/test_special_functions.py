@@ -112,7 +112,7 @@ def test_jacobi_vectorized_matches_scalar():
 def test_jacobi_scaled_unscaled_below_sixteen_steps():
     x = np.linspace(-1.0, 1.0, 9)
     for n in range(16):
-        p, exponent = jacobi_scaled(n, 3.2, 7.1, x)
+        p, exponent = jacobi_scaled(n, 3.2, 7.1)(x)
         assert exponent == 0
         assert np.array_equal(p, jacobi(n, 3.2, 7.1, x))
 
@@ -121,7 +121,7 @@ def test_jacobi_scaled_unscaled_below_sixteen_steps():
 def test_jacobi_scaled_matches_mpmath(n, a, b):
     # P_200^(5000,4000) reaches 4e366 at x = 1, beyond the float range
     x = np.array([-0.999, -0.3, 0.0, 0.41, 0.97, 1.0])
-    p, exponent = jacobi_scaled(n, a, b, x)
+    p, exponent = jacobi_scaled(n, a, b)(x)
     assert np.all(np.abs(p) < 1e300)
     with mpmath.workdps(40):
         for xi, pi, ei in zip(x, p, exponent):
@@ -139,8 +139,8 @@ def test_jacobi_scaled_float_gives_the_bits_of_an_array(n, a, b):
     # from n = 16 the recurrence rescales: math's frexp and ldexp on a float,
     # numpy's on an ndarray, with the same (p, e) bit for bit
     for x in (-0.999, -0.3, 0.0, 0.41, 0.97, 1.0):
-        p, exponent = jacobi_scaled(n, a, b, x)
-        p_arr, e_arr = jacobi_scaled(n, a, b, np.array([x]))
+        p, exponent = jacobi_scaled(n, a, b)(x)
+        p_arr, e_arr = jacobi_scaled(n, a, b)(np.array([x]))
         assert type(p) is float and type(exponent) is int
         assert (p.hex(), exponent) == (float(p_arr[0]).hex(), int(e_arr[0]))
 
@@ -150,11 +150,20 @@ def test_jacobi_invalid_index(n, a, b):
     with pytest.raises(InvalidIndex):
         jacobi(n, a, b, 0.1)
     with pytest.raises(InvalidIndex):
-        jacobi_scaled(n, a, b, 0.1)
+        jacobi_scaled(n, a, b)
     with pytest.raises(InvalidIndex):
         jacobi_sum(n, a, b, 0.1)
     with pytest.raises(InvalidIndex):
         jacobi_log_norm(n, a, b)
+
+
+@pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, math.nan)])
+def test_jacobi_rejects_nan_parameters(a, b):
+    # a NaN compares False against -1 either way round
+    with pytest.raises(InvalidIndex):
+        jacobi_scaled(3, a, b)
+    with pytest.raises(InvalidIndex):
+        jacobi_log_norm(3, a, b)
 
 
 def test_integrate_constant_exact():
