@@ -16,6 +16,7 @@ import sys
 from collections import namedtuple
 
 from .errors import ConfigError, NonFinite, PtnuError
+from .nu import checked_record
 from .poschl_teller import (
     PtPotential,
     alpha_zero_limit,
@@ -32,10 +33,10 @@ ORACLE_SPACING = 1e-3
 FORMATS = ("csv", "tsv", "json")
 # Ceilings on what one run may ask for, far above any use in the paper, so
 # that every command ends within seconds.  MAX_POINTS bounds the samples of
-# wavefunction and the grid of verify.  verify's time per alpha, measured,
-# grows as (nmax + 2) * grid_points: a grid costs about as much as a level.
-# wavefunction's grows as (n + 1) * points: each sample runs the n steps of
-# the Jacobi recurrence in the interpreter.
+# wavefunction and the grid of every command.  verify's time per alpha,
+# measured, grows as (nmax + 2) * grid_points: a grid costs about as much as
+# a level.  wavefunction's grows as (n + 1) * points: each sample runs the n
+# steps of the Jacobi recurrence in the interpreter.
 MAX_NMAX = 1000
 MAX_ALPHAS = 100
 MAX_POINTS = 100_000
@@ -44,15 +45,41 @@ MAX_WAVEFUNCTION_WORK = 10_000_000
 MAX_CONFIG_CHARS = 65_536
 
 
-class RunConfig(namedtuple(
-        "RunConfig", "m v1 v2 alphas n_max grid_points tol format precision",
-        defaults=(10.0, 5.0, 3.0, DEFAULT_ALPHAS, 6, 2000, 1e-9, "csv", 8))):
+def _parse_alphas(raw: str) -> tuple[float, ...]:
+    values = tuple(float(x.strip()) for x in raw.split(",") if x.strip())
+    if not values:
+        raise ValueError(f"empty list {raw!r}")
+    return values
+
+
+# One row per setting every command shares.  Config-file key, which is the
+# flag with "_" written "-": (RunConfig field, parser of its text, default,
+# help text, metavar).  RunConfig, the flags and the file lines all come
+# from this table, and RunConfig.__new__ checks every field.
+_KEYS = {
+    "m": ("m", float, 10.0, "mass (fm^-1)", None),
+    "v1": ("v1", float, 5.0, "first well depth (fm^-1)", None),
+    "v2": ("v2", float, 3.0, "second well depth (fm^-1)", None),
+    "alpha": ("alphas", _parse_alphas, DEFAULT_ALPHAS, "comma-separated range parameters (fm^-1)", "LIST"),
+    "nmax": ("n_max", int, 6, "highest quantum number", None),
+    "grid_points": ("grid_points", int, 2000, "finite-difference interior grid size", None),
+    "tol": ("tol", float, 1e-9, "relative band for the closed-form/root-finder comparison", None),
+    "format": ("format", str, "csv", None, "{" + ",".join(FORMATS) + "}"),
+    "precision": ("precision", int, 8, "decimal digits [1, 17]", None),
+}
+
+
+class RunConfig(checked_record("RunConfig", [row[0] for row in _KEYS.values()],
+                               [row[2] for row in _KEYS.values()])):
     """Settings of one run, an immutable tuple with named fields; every
-    field has a default, and `_replace` returns a copy with some changed."""
+    field has a default, and `_replace` returns a copy with some changed.
+    Building one, directly or through `_make` and `_replace`, raises
+    ConfigError unless every field is in range."""
 
     __slots__ = ()
 
-    def validate(self) -> RunConfig:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not all(0 < v < math.inf for v in (self.m, self.v1, self.v2)):
             raise ConfigError(f"m, v1, v2 must be finite and positive, got {self.m}, {self.v1}, {self.v2}")
         if not 0 < len(self.alphas) <= MAX_ALPHAS or not all(0 < a < math.inf for a in self.alphas):
@@ -60,6 +87,8 @@ class RunConfig(namedtuple(
                               f"got {self.alphas}")
         if not 0 <= self.n_max <= MAX_NMAX:
             raise ConfigError(f"nmax must be in [0, {MAX_NMAX}], got {self.n_max}")
+        if not 1000 <= self.grid_points <= MAX_POINTS:
+            raise ConfigError(f"grid_points must be in [1000, {MAX_POINTS}], got {self.grid_points}")
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.format not in FORMATS:
@@ -104,7 +133,6 @@ def _emit(out, header: list[str], rows: list[list[str]], fmt: str) -> None:
 def cmd_table2(config: RunConfig, out=None) -> int:
     """Spectrum grid: one row per n, one column per alpha."""
     out = out or sys.stdout
-    config.validate()
     table = spectrum_table(config.m, config.v1, config.v2, list(config.alphas), config.n_max)
     if config.format == "json":
         rows = [[str(n), str(alpha), _fmt(energy, config.precision)]
@@ -122,7 +150,6 @@ def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
     """Sample the normalized state n of the first configured alpha:
     columns r, R/r (the radial factor of the full wavefunction), and R."""
     out = out or sys.stdout
-    config.validate()
     if not (0 <= n <= config.n_max):
         raise ConfigError(f"need 0 <= n <= nmax={config.n_max}, got n={n}")
     if not 2 <= points <= MAX_POINTS:
@@ -158,13 +185,13 @@ def certify(p: PtPotential, count: int, n_points: int, tol: float) -> list[Cell]
     coarse = lowest_eigenvalues(discretize(p, n_points), count)
     fine = lowest_eigenvalues(discretize(p, 2 * n_points + 1), count)
     oracle_levels = [richardson(c, f) / (2.0 * p.m) for c, f in zip(coarse, fine)]
+    ladder = [energy_closed_form(p, n) for n in range(count + 1)]
     cells = []
-    for n, e_or in enumerate(oracle_levels):
-        e_closed = energy_closed_form(p, n)
+    for n, (e_or, e_closed, e_next) in enumerate(zip(oracle_levels, ladder, ladder[1:])):
         e_nu = energy_via_nu(p, n)
         nu_dev = abs(e_nu - e_closed) / abs(e_closed)
         oracle_dev = abs(e_or - e_closed) / abs(e_closed)
-        gap = energy_closed_form(p, n + 1) - e_closed
+        gap = e_next - e_closed
         passed = not (nu_dev > tol or oracle_dev > ORACLE_BAND
                       or abs(e_or - e_closed) > ORACLE_SPACING * gap)
         cells.append(Cell(n, p.alpha, e_closed, e_nu, e_or, nu_dev, oracle_dev, passed))
@@ -174,14 +201,11 @@ def certify(p: PtPotential, count: int, n_points: int, tol: float) -> list[Cell]
 def cmd_verify(config: RunConfig, out=None) -> int:
     """`certify` every configured alpha; exit 1 when any cell fails."""
     out = out or sys.stdout
-    config.validate()
-    if config.grid_points < 1000:
-        raise ConfigError(f"verify needs grid_points >= 1000, got {config.grid_points}")
     count = config.n_max + 1
     work = (count + 1) * config.grid_points * len(config.alphas)
-    if config.grid_points > MAX_POINTS or work > MAX_VERIFY_WORK:
-        raise ConfigError(f"verify needs grid_points <= {MAX_POINTS} and (nmax + 2) * grid_points * "
-                          f"(number of alphas) <= {MAX_VERIFY_WORK}, got {config.grid_points} and {work}")
+    if work > MAX_VERIFY_WORK:
+        raise ConfigError(f"verify needs (nmax + 2) * grid_points * (number of alphas) <= "
+                          f"{MAX_VERIFY_WORK}, got {work}")
     cells = [cell for alpha in config.alphas
              for cell in certify(PtPotential(config.m, config.v1, config.v2, alpha),
                                  count, config.grid_points, config.tol)]
@@ -195,7 +219,6 @@ def cmd_verify(config: RunConfig, out=None) -> int:
 def cmd_limit(config: RunConfig, out=None) -> int:
     """Ground-state energy against the small-range limit for each alpha."""
     out = out or sys.stdout
-    config.validate()
     limit = alpha_zero_limit(PtPotential(config.m, config.v1, config.v2, config.alphas[0]))
     rows = []
     for alpha in config.alphas:
@@ -207,25 +230,8 @@ def cmd_limit(config: RunConfig, out=None) -> int:
     return 0
 
 
-def _parse_alphas(raw: str) -> tuple[float, ...]:
-    values = tuple(float(x.strip()) for x in raw.split(",") if x.strip())
-    if not values:
-        raise ValueError(f"empty list {raw!r}")
-    return values
-
-
-# Config-file key, which is also the flag's dest: (RunConfig field, parser
-# of its text).  Flags and file lines both pass through this one table.
-_KEYS = {
-    "m": ("m", float), "v1": ("v1", float), "v2": ("v2", float),
-    "alpha": ("alphas", _parse_alphas), "nmax": ("n_max", int),
-    "grid_points": ("grid_points", int), "tol": ("tol", float),
-    "format": ("format", str), "precision": ("precision", int),
-}
-
-
 def _parse(values: dict, key: str, raw: str, where: str = "") -> None:
-    field, parse = _KEYS[key]
+    field, parse = _KEYS[key][:2]
     try:
         values[field] = parse(raw)
     except ValueError as exc:
@@ -256,7 +262,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    """File entries, then flags over them, as a RunConfig each command validates."""
+    """File entries, then flags over them, as a checked RunConfig."""
     values = {} if args.config is None else _load_config_file(args.config)
     for key in _KEYS:
         raw = getattr(args, key)
@@ -270,42 +276,31 @@ def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first `main` call;
     parsing leaves it unchanged, so every later call reuses it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--m", default=None, help="mass (fm^-1)")
-    common.add_argument("--v1", default=None, help="first well depth (fm^-1)")
-    common.add_argument("--v2", default=None, help="second well depth (fm^-1)")
-    common.add_argument("--alpha", default=None, metavar="LIST",
-                        help="comma-separated range parameters (fm^-1)")
-    common.add_argument("--nmax", default=None, help="highest quantum number")
-    common.add_argument("--grid-points", dest="grid_points", default=None,
-                        help="finite-difference interior grid size")
-    common.add_argument("--tol", default=None,
-                        help="relative band for the closed-form/root-finder comparison")
-    common.add_argument("--format", choices=FORMATS, default=None)
-    common.add_argument("--precision", default=None, help="decimal digits [1, 17]")
-    common.add_argument("--config", default=None, metavar="PATH",
-                        help="key=value file; flags override its entries")
+    for key, (_, _, _, text, metavar) in _KEYS.items():
+        common.add_argument("--" + key.replace("_", "-"), help=text, metavar=metavar)
+    common.add_argument("--config", metavar="PATH", help="key=value file; flags override its entries")
 
+    # exit_on_error=False: a refused flag value reaches main as an ArgumentError
     parser = argparse.ArgumentParser(
-        prog="ptnu",
+        prog="ptnu", exit_on_error=False,
         description="Bound states of the trigonometric Poschl-Teller well: "
                     "closed-form spectra, wavefunctions, and cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table2", parents=[common],
-                   help="energy levels, one row per n and one column per alpha")
-    wf = sub.add_parser("wavefunction", parents=[common],
-                        help="sample a normalized radial state (first alpha of the list)")
+    for name, text in (
+            ("table2", "energy levels, one row per n and one column per alpha"),
+            ("wavefunction", "sample a normalized radial state (first alpha of the list)"),
+            ("verify", "closed form vs template root vs finite-difference oracle"),
+            ("limit", "ground-state energy against the small-range limit")):
+        sub.add_parser(name, parents=[common], exit_on_error=False, help=text)
+    wf = sub.choices["wavefunction"]
     wf.add_argument("--n", type=int, default=0, help="quantum number of the state")
     wf.add_argument("--points", type=int, default=200, help="number of interior samples")
-    sub.add_parser("verify", parents=[common],
-                   help="closed form vs template root vs finite-difference oracle")
-    sub.add_parser("limit", parents=[common],
-                   help="ground-state energy against the small-range limit")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _build_config(args)
         if args.command == "table2":
             return cmd_table2(config)
@@ -314,7 +309,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config)
         return cmd_limit(config)
-    except PtnuError as exc:
+    except (argparse.ArgumentError, PtnuError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

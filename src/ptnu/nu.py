@@ -27,10 +27,11 @@ from .errors import DomainError, NegativeDiscriminant, NonConvergence, NoSignCha
 from .special_functions import jacobi_scaled
 
 
-def checked_record(name: str, fields: str):
-    """namedtuple base for a record whose subclass checks its fields in
-    `__new__`: `_make`, and so `_replace`, build through that check too."""
-    base = namedtuple(name, fields)
+def checked_record(name: str, fields, defaults=None):
+    """namedtuple base, with namedtuple's `defaults`, for a record whose
+    subclass checks its fields in `__new__`: `_make`, and so `_replace`,
+    build through that check too."""
+    base = namedtuple(name, fields, defaults=defaults)
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
 

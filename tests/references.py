@@ -35,7 +35,7 @@ def jacobi_sum(n: int, a: float, b: float, x: float) -> float:
     """
     if n < 0 or n > 20:
         raise InvalidIndex(f"finite-sum oracle limited to 0 <= n <= 20, got {n}")
-    if a <= -1.0 or b <= -1.0:
+    if not (a > -1.0 and b > -1.0):  # written so that a NaN fails it too
         raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
     import numpy as np
 

@@ -382,7 +382,12 @@ def test_invalid_flags_exit_two():
                  ["wavefunction", "--n", "100", "--nmax", "100", "--points", "100000"],
                  ["verify", "--grid-points", "100001", "--alpha", "1.2", "--nmax", "0"],
                  ["verify", "--grid-points", "4000", "--alpha", "1.2", "--nmax", "999"],
-                 ["verify", "--grid-points", "40000", "--alpha", "1.2,0.4", "--nmax", "49"]):
+                 ["verify", "--grid-points", "40000", "--alpha", "1.2,0.4", "--nmax", "49"],
+                 # RunConfig's checks and argparse's own type check refuse
+                 # alike, whichever command runs
+                 ["table2", "--grid-points", "5"],
+                 ["table2", "--format", "xml"],
+                 ["wavefunction", "--n", "junk"]):
         code, out, err = run_main(argv)
         assert code == 2, argv
         assert out == "", argv
@@ -404,15 +409,14 @@ def test_oversized_runs_are_refused_before_any_work(argv):
 
 
 def test_run_config_validate_direct():
+    # every record checks itself: built directly, or copied by _replace
+    for bad in ({"format": "xml"}, {"precision": 18}, {"m": math.inf},
+                {"alphas": (1.2, math.nan)}, {"grid_points": 999}):
+        with pytest.raises(ConfigError):
+            RunConfig(**bad)
     with pytest.raises(ConfigError):
-        RunConfig(format="xml").validate()
-    with pytest.raises(ConfigError):
-        RunConfig(precision=18).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(m=math.inf).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(alphas=(1.2, math.nan)).validate()
-    assert RunConfig().validate() is not None
+        RunConfig()._replace(precision=18)
+    assert RunConfig()._replace(precision=17).precision == 17
 
 
 def test_run_config_keeps_its_defaults():
@@ -507,6 +511,23 @@ def test_main_reuses_one_parser_across_calls():
         run_main(["table2", "--no-such-flag"])
     assert bad.value.code == 2
     assert run_main(argvs[0]) == together[0]
+
+
+def test_a_missing_command_keeps_the_usage_exit():
+    # as an unknown flag does (see above): argparse prints its usage
+    with pytest.raises(SystemExit) as bad:
+        run_main([])
+    assert bad.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["ptnu", "table2", "wavefunction", "verify", "limit"])
+def test_help_matches_golden(command, monkeypatch, capsys):
+    # argparse wraps its help to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(([] if command == "ptnu" else [command]) + ["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"help_{command}.txt").read_text(encoding="utf-8")
 
 
 def test_module_entry_point_exit_codes():

@@ -26,7 +26,6 @@ ALLOWED_UNREACHED = {
     "special_functions.jacobi": "perfbench/tracer.py TARGETS names it",
     "oracle.ode_residual": "perfbench/tracer.py TARGETS names it",
     "nu.NuCoefficients.__new__": "checks a template that a library caller builds",
-    "nu.checked_record.<locals>.<lambda>": "makes _replace run the subclass's field check",
     "nu.index_text": "the CLI ceilings keep n <= 1000, which prints in decimal",
 }
 

@@ -145,7 +145,8 @@ def test_jacobi_scaled_float_gives_the_bits_of_an_array(n, a, b):
         assert (p.hex(), exponent) == (float(p_arr[0]).hex(), int(e_arr[0]))
 
 
-@pytest.mark.parametrize("n,a,b", [(-1, 0.0, 0.0), (2, -1.0, 0.0), (2, 0.0, -1.5)])
+@pytest.mark.parametrize("n,a,b", [(-1, 0.0, 0.0), (2, -1.0, 0.0), (2, 0.0, -1.5),
+                                   (2, math.nan, 0.0), (2, 0.0, math.nan)])
 def test_jacobi_invalid_index(n, a, b):
     with pytest.raises(InvalidIndex):
         jacobi(n, a, b, 0.1)
@@ -155,15 +156,6 @@ def test_jacobi_invalid_index(n, a, b):
         jacobi_sum(n, a, b, 0.1)
     with pytest.raises(InvalidIndex):
         jacobi_log_norm(n, a, b)
-
-
-@pytest.mark.parametrize("a,b", [(math.nan, 1.0), (1.0, math.nan)])
-def test_jacobi_rejects_nan_parameters(a, b):
-    # a NaN compares False against -1 either way round
-    with pytest.raises(InvalidIndex):
-        jacobi_scaled(3, a, b)
-    with pytest.raises(InvalidIndex):
-        jacobi_log_norm(3, a, b)
 
 
 def test_integrate_constant_exact():
