@@ -240,7 +240,7 @@ def _parse(values: dict, key: str, raw: str, where: str = "") -> None:
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:  # a leading BOM is dropped
             text = handle.read(MAX_CONFIG_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

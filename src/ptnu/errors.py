@@ -5,11 +5,6 @@ class PtnuError(Exception):
     """Base class for all library errors."""
 
 
-class NegativeDiscriminant(PtnuError):
-    """A square-root argument in the constant pipeline went negative;
-    the problem has no real solution in this regime."""
-
-
 class NoSignChange(PtnuError):
     """The residual does not change sign anywhere the bracket search looks."""
 
@@ -19,24 +14,13 @@ class NonConvergence(PtnuError):
     is still above the tolerance after the affine step."""
 
 
-class ZeroA3(PtnuError):
-    """Operation requires a3 > 0."""
-
-
 class DomainError(PtnuError, ValueError):
-    """Argument outside the open interval on which the function is defined."""
-
-
-class InvalidIndex(PtnuError, ValueError):
-    """Polynomial parameter outside its admissible range."""
+    """A parameter, index, grid size or template outside the domain where
+    the function or the method applies."""
 
 
 class NonFinite(PtnuError):
     """A NaN or infinity appeared where a finite value was required."""
-
-
-class GridTooSmall(PtnuError, ValueError):
-    """Finite-difference grid too coarse for a meaningful spectrum."""
 
 
 class ConfigError(PtnuError, ValueError):

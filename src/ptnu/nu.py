@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 
-from .errors import DomainError, NegativeDiscriminant, NonConvergence, NoSignChange, ZeroA3
+from .errors import DomainError, NonConvergence, NoSignChange
 from .special_functions import jacobi_scaled
 
 
@@ -79,8 +79,8 @@ class NuDerived(namedtuple("NuDerived", "coeffs a4 a5 a6 a7 a8 a9 a10 a11 a12 a1
 
 def _roots(c: NuCoefficients, a9: float | None = None) -> tuple[float, ...]:
     """(a4, a5, a6, a7, a8, a9, sqrt(a8), sqrt(a9)); an a9 given replaces
-    a3*a7 + a3^2*a8 + a6.  Raises NegativeDiscriminant when a8 < 0 or
-    a9 < 0: the method then does not apply."""
+    a3*a7 + a3^2*a8 + a6.  Raises DomainError when a8 < 0 or a9 < 0:
+    the method then does not apply."""
     a1, a2, a3, x1, x2, x3 = c
     a4 = 0.5 * (1.0 - a1)
     a5 = 0.5 * (a2 - 2.0 * a3)
@@ -89,7 +89,7 @@ def _roots(c: NuCoefficients, a9: float | None = None) -> tuple[float, ...]:
     a8 = a4 * a4 + x3
     a9 = a3 * a7 + a3 * a3 * a8 + a6 if a9 is None else a9
     if a8 < 0.0 or a9 < 0.0:
-        raise NegativeDiscriminant(f"need a8 >= 0 and a9 >= 0, got a8={a8}, a9={a9}")
+        raise DomainError(f"need a8 >= 0 and a9 >= 0, got a8={a8}, a9={a9}")
     return a4, a5, a6, a7, a8, a9, math.sqrt(a8), math.sqrt(a9)
 
 
@@ -225,7 +225,7 @@ def eigenfunction_factors(d: NuDerived) -> tuple[float, float, float, float]:
     """Exponents and Jacobi indices (p1, p2, ja, jb) of the solution factors."""
     a3 = d.coeffs.a3
     if a3 <= 0.0:
-        raise ZeroA3("eigenfunction factors need a3 > 0")
+        raise DomainError("eigenfunction factors need a3 > 0")
     p1 = d.a12
     p2 = -d.a12 - d.a13 / a3
     ja = d.a10 - 1.0

@@ -20,7 +20,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmall, NonFinite
+from .errors import DomainError, NonFinite
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -38,7 +38,7 @@ class RadialOperator(namedtuple("RadialOperator", "n_points h diag offdiag")):
 def discretize(p: PtPotential, n_points: int) -> RadialOperator:
     """Three-point operator for the reduced equation with eps = 2mE."""
     if n_points < 100:
-        raise GridTooSmall(f"need n_points >= 100, got {n_points}")
+        raise DomainError(f"need n_points >= 100, got {n_points}")
     h = p.r_max / (n_points + 1)
     r = h * np.arange(1, n_points + 1)
     with np.errstate(all="ignore"):  # the check below refuses what leaves float range

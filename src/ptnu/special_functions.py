@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidIndex, NonFinite
+from .errors import DomainError, NonFinite
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -22,9 +22,9 @@ _RESCALE_STEPS = 16
 
 def _check_jacobi(n: int, a: float, b: float) -> None:
     if n < 0:
-        raise InvalidIndex(f"polynomial degree must be >= 0, got {n}")
+        raise DomainError(f"polynomial degree must be >= 0, got {n}")
     if not (a > -1.0 and b > -1.0):  # written so that a NaN fails it too
-        raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
+        raise DomainError(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
 
 
 def jacobi(n: int, a: float, b: float, x):
@@ -108,7 +108,7 @@ def gauss_rule(order: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
 
     if order < 1:
-        raise InvalidIndex(f"quadrature order must be >= 1, got {order}")
+        raise DomainError(f"quadrature order must be >= 1, got {order}")
     base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -124,7 +124,7 @@ def integrate(f, lo: float, hi: float, panels: int) -> tuple[float, float]:
     with doubled panel count, whose value is the one returned.
     """
     if panels < 1:
-        raise InvalidIndex(f"panel count must be >= 1, got {panels}")
+        raise DomainError(f"panel count must be >= 1, got {panels}")
     import numpy as np
 
     def one_pass(n_panels: int) -> float:

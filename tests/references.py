@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ptnu.errors import DomainError, InvalidIndex
+from ptnu.errors import DomainError
 
 
 def _binom_product(r: np.longdouble, k: int) -> np.longdouble:
@@ -34,9 +34,9 @@ def jacobi_sum(n: int, a: float, b: float, x: float) -> float:
     the sum runs in extended precision to stay trustworthy as an oracle.
     """
     if n < 0 or n > 20:
-        raise InvalidIndex(f"finite-sum oracle limited to 0 <= n <= 20, got {n}")
+        raise DomainError(f"finite-sum oracle limited to 0 <= n <= 20, got {n}")
     if not (a > -1.0 and b > -1.0):  # written so that a NaN fails it too
-        raise InvalidIndex(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
+        raise DomainError(f"Jacobi parameters must exceed -1, got a={a}, b={b}")
     import numpy as np
 
     a_l = np.longdouble(a)

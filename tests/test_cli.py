@@ -315,6 +315,15 @@ def test_config_file_and_flag_override(tmp_path):
     assert out.strip().splitlines()[1] == f"0,{energy_closed_form(reference_potential(1.2), 0):.8f}"
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_bytes(b"m=10\nalpha=0.8\n")
+    marked.write_bytes(b"\xef\xbb\xbfm=10\nalpha=0.8\n")
+    with_bom = run_main(["table2", "--config", str(marked)])
+    assert with_bom[0] == 0, with_bom[2]
+    assert with_bom == run_main(["table2", "--config", str(plain)])
+
+
 def test_config_file_unknown_key(tmp_path):
     config = tmp_path / "bad.cfg"
     config.write_text("mass=10\n")

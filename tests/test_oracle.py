@@ -17,7 +17,7 @@ from ptnu import (
     ode_residual,
     richardson,
 )
-from ptnu.errors import DomainError, GridTooSmall, NonFinite
+from ptnu.errors import DomainError, NonFinite
 
 PT_REF = reference_potential(1.2)
 
@@ -59,7 +59,7 @@ def test_discretize_symmetric_by_construction():
 
 
 def test_discretize_rejects_small_grid():
-    with pytest.raises(GridTooSmall):
+    with pytest.raises(DomainError, match=r"need n_points >= 100, got 99"):
         discretize(PT_REF, 99)
 
 
@@ -257,8 +257,7 @@ def test_oracle_imports_stay_independent():
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.startswith("ptnu")):
             in_package.update(f"{node.module}.{alias.name}" for alias in node.names)
-    assert in_package == {"errors.DomainError", "errors.GridTooSmall", "errors.NonFinite",
-                          "poschl_teller.PtPotential"}
+    assert in_package == {"errors.DomainError", "errors.NonFinite", "poschl_teller.PtPotential"}
     scipy_imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
                      and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
                      or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")]

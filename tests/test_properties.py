@@ -14,6 +14,9 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -173,3 +176,20 @@ def test_every_command_line_gets_a_typed_answer(command, config_files, data):
     if code == 2:
         assert out.getvalue() == "", argv
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+
+
+def test_failing_property_is_reported_as_a_failure(tmp_path):
+    # under the suite's own pytest settings a failing property must show its
+    # example, not end the run in INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n", encoding="utf-8")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(pyproject), "--rootdir", str(tmp_path), "test_fails.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

@@ -6,6 +6,7 @@ run among them), touches the lazy namespace, and reports the file and
 first line of every code object called from the package.  Functions and
 lambdas are matched against the package's source by that pair, since
 `co_qualname` needs Python 3.11; class and module bodies do not count.
+Every exception class in `ptnu.errors` but the base is raised somewhere.
 """
 import ast
 import json
@@ -103,3 +104,15 @@ def test_every_function_runs_or_is_allowlisted(tmp_path):
     unreached = set(functions.values()) - called
     assert unreached - set(ALLOWED_UNREACHED) == set(), "no command reaches these"
     assert set(ALLOWED_UNREACHED) - unreached == set(), "allowlisted, yet run or gone"
+
+
+def test_every_error_class_is_raised():
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"PtnuError"}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert classes - raised == set(), "no raise in the package names these"

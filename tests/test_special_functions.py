@@ -12,7 +12,7 @@ from ptnu import (
     jacobi_log_norm,
     jacobi_scaled,
 )
-from ptnu.errors import InvalidIndex, NonFinite
+from ptnu.errors import DomainError, NonFinite
 from references import jacobi_sum
 
 
@@ -148,13 +148,17 @@ def test_jacobi_scaled_float_gives_the_bits_of_an_array(n, a, b):
 @pytest.mark.parametrize("n,a,b", [(-1, 0.0, 0.0), (2, -1.0, 0.0), (2, 0.0, -1.5),
                                    (2, math.nan, 0.0), (2, 0.0, math.nan)])
 def test_jacobi_invalid_index(n, a, b):
-    with pytest.raises(InvalidIndex):
+    if n < 0:
+        message, sum_message = "polynomial degree must be >= 0", r"limited to 0 <= n <= 20"
+    else:
+        message = sum_message = "Jacobi parameters must exceed -1"
+    with pytest.raises(DomainError, match=message):
         jacobi(n, a, b, 0.1)
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(DomainError, match=message):
         jacobi_scaled(n, a, b)
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(DomainError, match=sum_message):
         jacobi_sum(n, a, b, 0.1)
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(DomainError, match=message):
         jacobi_log_norm(n, a, b)
 
 
@@ -208,7 +212,7 @@ def test_composite_rule_is_gauss_rule_on_each_panel(lo, hi, panels, order, grade
 
 
 def test_quadrature_order_must_be_positive():
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(DomainError, match="quadrature order must be >= 1, got 0"):
         gauss_rule(0, 0.0, 1.0)
-    with pytest.raises(InvalidIndex):
+    with pytest.raises(DomainError, match="quadrature order must be >= 1, got 0"):
         _panel_rule(0, np.linspace(0.0, 1.0, 4))
