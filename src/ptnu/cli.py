@@ -4,8 +4,8 @@ cross-verification sweeps, and the small-range limit scan.
 All numeric output is deterministic for a given configuration; csv/tsv/json
 carry the same formatted values and diagnostics go to stderr only.
 `table2` and `limit` need only the closed form, and `wavefunction`
-evaluates its samples one float at a time with `math`: numpy, scipy and
-the oracle are imported by `verify` alone.
+evaluates its samples one float at a time with `math`: numpy and scipy
+are loaded by `verify` alone, when the oracle first runs.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from collections import namedtuple
 
 from .errors import ConfigError, NonFinite, PtnuError
 from .nu import checked_record
+from .oracle import discretize, lowest_eigenvalues, richardson
 from .poschl_teller import (
     PtPotential,
     alpha_zero_limit,
@@ -165,9 +166,10 @@ def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
     return 0
 
 
-class Cell(namedtuple("Cell", "n alpha e_closed e_nu e_oracle nu_dev oracle_dev passed")):
+class Cell(namedtuple("Cell", "n alpha e_closed e_nu e_oracle nu_dev oracle_dev failed")):
     """One certified level: the columns `verify` prints, in print order, then
-    whether every gate held; an immutable tuple with named fields."""
+    the names of the gates it failed, empty when every gate held; an
+    immutable tuple with named fields."""
 
     __slots__ = ()
 
@@ -180,8 +182,6 @@ def certify(p: PtPotential, count: int, n_points: int, tol: float) -> list[Cell]
     the root, ORACLE_BAND for the oracle), or when the oracle misses the
     closed form by more than ORACLE_SPACING of the gap to the next level.
     """
-    from .oracle import discretize, lowest_eigenvalues, richardson
-
     coarse = lowest_eigenvalues(discretize(p, n_points), count)
     fine = lowest_eigenvalues(discretize(p, 2 * n_points + 1), count)
     oracle_levels = [richardson(c, f) / (2.0 * p.m) for c, f in zip(coarse, fine)]
@@ -191,17 +191,21 @@ def certify(p: PtPotential, count: int, n_points: int, tol: float) -> list[Cell]
         e_nu = energy_via_nu(p, n)
         nu_dev = abs(e_nu - e_closed) / abs(e_closed)
         oracle_dev = abs(e_or - e_closed) / abs(e_closed)
-        gap = e_next - e_closed
-        passed = not (nu_dev > tol or oracle_dev > ORACLE_BAND
-                      or abs(e_or - e_closed) > ORACLE_SPACING * gap)
-        cells.append(Cell(n, p.alpha, e_closed, e_nu, e_or, nu_dev, oracle_dev, passed))
+        gates = (("tol", nu_dev > tol), ("ORACLE_BAND", oracle_dev > ORACLE_BAND),
+                 ("ORACLE_SPACING", abs(e_or - e_closed) > ORACLE_SPACING * (e_next - e_closed)))
+        failed = tuple(name for name, missed in gates if missed)
+        cells.append(Cell(n, p.alpha, e_closed, e_nu, e_or, nu_dev, oracle_dev, failed))
     return cells
 
 
 def cmd_verify(config: RunConfig, out=None) -> int:
-    """`certify` every configured alpha; exit 1 when any cell fails."""
+    """`certify` every configured alpha; exit 1 when any cell fails, with
+    one line on stderr per failed cell."""
     out = out or sys.stdout
     count = config.n_max + 1
+    if count > config.grid_points:
+        raise ConfigError(f"verify needs nmax + 1 <= grid_points, got nmax={config.n_max}, "
+                          f"grid_points={config.grid_points}")
     work = (count + 1) * config.grid_points * len(config.alphas)
     if work > MAX_VERIFY_WORK:
         raise ConfigError(f"verify needs (nmax + 2) * grid_points * (number of alphas) <= "
@@ -212,8 +216,12 @@ def cmd_verify(config: RunConfig, out=None) -> int:
     rows = [[str(c.n), str(c.alpha)]
             + [_fmt(e, config.precision) for e in (c.e_closed, c.e_nu, c.e_oracle)]
             + [_fmt_dev(c.nu_dev, 2), _fmt_dev(c.oracle_dev, 2)] for c in cells]
-    _emit(out, list(Cell._fields[:-1]), rows, config.format)
-    return 0 if all(c.passed for c in cells) else 1
+    _emit(out, ["n", "alpha", "e_closed", "e_nu", "e_oracle", "nu_dev", "oracle_dev"], rows,
+          config.format)
+    failed = [c for c in cells if c.failed]
+    for c in failed:
+        print(f"verify: n={c.n} alpha={c.alpha} fails {', '.join(c.failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_limit(config: RunConfig, out=None) -> int:

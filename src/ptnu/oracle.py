@@ -9,16 +9,14 @@ bisection on the Sturm negative-pivot count of the LDL^T factorization
 to fourth order by Richardson extrapolation over a grid doubling.
 
 Nothing here touches the template pipeline: agreement with the closed
-form certifies it through an unrelated computational path.  scipy is
-imported inside the functions that use it, so importing this module
-stays cheap; the CLI imports it only for `verify`.
+form certifies it through an unrelated computational path.  numpy and
+scipy are imported inside the functions that use them, so importing this
+module loads neither.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-
-import numpy as np
 
 from .errors import DomainError, NonFinite
 
@@ -37,6 +35,8 @@ class RadialOperator(namedtuple("RadialOperator", "n_points h diag offdiag")):
 
 def discretize(p: PtPotential, n_points: int) -> RadialOperator:
     """Three-point operator for the reduced equation with eps = 2mE."""
+    import numpy as np
+
     if n_points < 100:
         raise DomainError(f"need n_points >= 100, got {n_points}")
     h = p.r_max / (n_points + 1)
@@ -59,6 +59,7 @@ def lowest_eigenvalues(op: RadialOperator, count: int) -> list[float]:
     here as NonFinite) where the square of an off-diagonal entry
     overflows, for alpha beyond about 1e76.
     """
+    import numpy as np
     import scipy.linalg
 
     if not (1 <= count <= op.n_points):
@@ -87,6 +88,8 @@ def ode_residual(wavefunction, p: PtPotential, energy: float, samples) -> float:
     stencil with step 1e-4 of the well width; samples must keep at least
     1e-3 of the well width away from both singular endpoints.
     """
+    import numpy as np
+
     length = p.r_max
     margin = 1e-3 * length
     step = 1e-4 * length

@@ -12,8 +12,8 @@ import pytest
 from helpers import TABLE2_ALPHAS, count_sign_changes, reference_potential
 from ptnu import PtPotential, energy_closed_form
 import ptnu
-from ptnu.cli import (Cell, RunConfig, _build_parser, certify, cmd_limit, cmd_table2,
-                      cmd_verify, cmd_wavefunction, main)
+from ptnu.cli import (RunConfig, _build_parser, certify, cmd_limit, cmd_table2, cmd_verify,
+                      cmd_wavefunction, main)
 from ptnu.errors import ConfigError
 
 # the directory that holds this ptnu; child interpreters import it from there
@@ -239,18 +239,28 @@ def test_certify_fails_the_corner_at_n5_and_n6():
     cells = certify(PtPotential(20.0, 10.0, 10.0, 0.002), 7, 1000, 1e-9)
     assert [c.n for c in cells] == list(range(7))
     assert all(c.oracle_dev <= 1e-4 and c.nu_dev <= 1e-9 for c in cells)
-    assert [c.n for c in cells if not c.passed] == [5, 6]
+    assert [(c.n, c.failed) for c in cells if c.failed] == [(5, ("ORACLE_SPACING",)),
+                                                             (6, ("ORACLE_SPACING",))]
+
+
+def test_verify_names_each_failed_cell_on_stderr():
+    # stdout and the exit code alone do not say which cell or gate failed
+    code, out, err = run_main(["verify", "--m", "20", "--v1", "10", "--v2", "10",
+                               "--alpha", "0.002", "--grid-points", "1000"])
+    assert code == 1 and out
+    assert err.splitlines() == ["verify: n=5 alpha=0.002 fails ORACLE_SPACING",
+                                "verify: n=6 alpha=0.002 fails ORACLE_SPACING"]
 
 
 def test_certify_fails_exactly_the_cells_outside_tol():
     p = PtPotential(10.0, 5.0, 3.0, 0.002)
     loose = certify(p, 7, 1000, 1e-9)
     tight = certify(p, 7, 1000, 1e-17)
-    assert all(c.passed for c in loose)
-    # tol moves the pass flags alone, and only where nu_dev exceeds it
+    assert all(c.failed == () for c in loose)
+    # tol moves the verdicts alone, and only where nu_dev exceeds it
     assert [c[:-1] for c in tight] == [c[:-1] for c in loose]
-    assert [c.passed for c in tight] == [not c.nu_dev > 1e-17 for c in tight]
-    assert {c.passed for c in tight} == {True, False}
+    assert [c.failed for c in tight] == [("tol",) if c.nu_dev > 1e-17 else () for c in tight]
+    assert {c.failed for c in tight} == {("tol",), ()}
 
 
 @pytest.mark.parametrize("config,code", [
@@ -263,11 +273,11 @@ def test_verify_prints_the_records_and_fails_when_one_fails(config, code):
     cells = [cell for alpha in config.alphas
              for cell in certify(PtPotential(config.m, config.v1, config.v2, alpha),
                                  config.n_max + 1, config.grid_points, config.tol)]
-    assert (0 if all(c.passed for c in cells) else 1) == code
+    assert (1 if any(c.failed for c in cells) else 0) == code
     out = io.StringIO()
     assert cmd_verify(config, out) == code
     header, rows = parse_table(out.getvalue())
-    assert header == list(Cell._fields[:-1])
+    assert header == ["n", "alpha", "e_closed", "e_nu", "e_oracle", "nu_dev", "oracle_dev"]
     assert [(int(row[0]), float(row[1])) for row in rows] == [(c.n, c.alpha) for c in cells]
 
 
@@ -392,6 +402,8 @@ def test_invalid_flags_exit_two():
                  ["verify", "--grid-points", "100001", "--alpha", "1.2", "--nmax", "0"],
                  ["verify", "--grid-points", "4000", "--alpha", "1.2", "--nmax", "999"],
                  ["verify", "--grid-points", "40000", "--alpha", "1.2,0.4", "--nmax", "49"],
+                 # more levels than the coarse grid has eigenvalues
+                 ["verify", "--nmax", "1000", "--grid-points", "1000", "--alpha", "1.2"],
                  # RunConfig's checks and argparse's own type check refuse
                  # alike, whichever command runs
                  ["table2", "--grid-points", "5"],

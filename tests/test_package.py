@@ -1,4 +1,4 @@
-"""The package namespace resolves its public names on first access."""
+"""The package namespace, its records, and the rules on what each module imports."""
 import ast
 import importlib
 import importlib.util
@@ -97,6 +97,39 @@ def test_no_module_imports_dataclasses():
             else:
                 continue
             assert all(name.split(".")[0] != "dataclasses" for name in names), path.name
+
+
+def test_no_module_imports_array_libraries_at_module_level():
+    # numpy and scipy load inside the functions that handle arrays, so
+    # `import ptnu` and the closed-form commands never pay for them
+    package = Path(ptnu.__file__).resolve().parent
+
+    def module_level_imports(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING":
+                continue  # read by type checkers only, never imported at run time
+            if isinstance(child, ast.Import):
+                yield from (alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                yield child.module or ""
+            yield from module_level_imports(child)
+
+    for path in sorted(package.glob("*.py")):
+        names = module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        roots = {name.split(".")[0] for name in names}
+        assert roots.isdisjoint({"numpy", "scipy"}), path.name
+
+
+def test_namespace_is_the_exports_and_the_submodules():
+    # the import lines of __init__.py and its __all__ are written apart,
+    # so neither may hold a public name the other lacks
+    package = Path(ptnu.__file__).resolve().parent
+    submodules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    names = {name for name in vars(ptnu) if not name.startswith("_") or name == "__version__"}
+    assert set(ptnu.__all__) <= names
+    assert names - set(ptnu.__all__) <= submodules, names - set(ptnu.__all__) - submodules
 
 
 RECORDS = {

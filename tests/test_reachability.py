@@ -2,10 +2,10 @@
 
 A child interpreter sets `sys.setprofile` before `import ptnu`, runs each
 subcommand through `cli.main` (a `--config` run, a json run and a refused
-run among them), touches the lazy namespace, and reports the file and
-first line of every code object called from the package.  Functions and
-lambdas are matched against the package's source by that pair, since
-`co_qualname` needs Python 3.11; class and module bodies do not count.
+run among them), and reports the file and first line of every code
+object called from the package.  Functions and lambdas are matched
+against the package's source by that pair, since `co_qualname` needs
+Python 3.11; class and module bodies do not count.
 Every exception class in `ptnu.errors` but the base is raised somewhere.
 """
 import ast
@@ -44,9 +44,6 @@ def record(frame, event, arg):
 sys.setprofile(record)
 sys.path.insert(0, sys.argv[1])
 import ptnu
-
-ptnu.PtPotential
-dir(ptnu)
 from ptnu import cli
 
 codes = []
