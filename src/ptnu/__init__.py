@@ -5,7 +5,7 @@ states, self-contained special functions, and a finite-difference oracle.
 inside the functions that handle arrays.
 """
 from . import errors
-from .nu import (NuCoefficients, NuDerived, SpectralFamily, derive_constants, eigenfunction,
+from .nu import (NuCoefficients, NuDerived, SpectralFamily, derive_constants,
                  eigenfunction_factors, quantization_residual, solve_energy)
 from .oracle import RadialOperator, discretize, lowest_eigenvalues, ode_residual, richardson
 from .poschl_teller import (BoundState, PtPotential, alpha_zero_limit, energy_closed_form,
@@ -16,7 +16,7 @@ from .special_functions import gauss_rule, integrate, jacobi, jacobi_log_norm, j
 __version__ = "0.1.0"
 
 __all__ = [
-    "NuCoefficients", "NuDerived", "SpectralFamily", "derive_constants", "eigenfunction",
+    "NuCoefficients", "NuDerived", "SpectralFamily", "derive_constants",
     "eigenfunction_factors", "quantization_residual", "solve_energy",
     "RadialOperator", "discretize", "lowest_eigenvalues", "ode_residual", "richardson",
     "BoundState", "PtPotential", "alpha_zero_limit", "energy_closed_form",

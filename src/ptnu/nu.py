@@ -8,7 +8,7 @@ Solves any problem that can be cast into the template
 by deriving the standard chain of constants a4..a13, evaluating the
 polynomial-termination condition that quantizes the spectral parameter,
 root-finding energies for a family parameterized by eps whose condition
-is affine in eps, and assembling the eigenfunction factors
+is affine in eps, and deriving the exponents and Jacobi indices of
 
     psi(s) = s^p1 * (1 - a3*s)^p2 * P_n^(ja, jb)(1 - 2*a3*s)
 
@@ -24,7 +24,6 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from .errors import DomainError, NonConvergence, NoSignChange
-from .special_functions import jacobi_scaled
 
 
 def checked_record(name: str, fields, defaults=None):
@@ -231,47 +230,3 @@ def eigenfunction_factors(d: NuDerived) -> tuple[float, float, float, float]:
     ja = d.a10 - 1.0
     jb = (d.a11 - d.a10 - 1.0) / a3
     return p1, p2, ja, jb
-
-
-def eigenfunction(d: NuDerived, n: int, log_scale: float):
-    """s -> exp(log_scale) * psi(s), psi(s) = s^p1 (1-a3*s)^p2 P_n^(ja,jb)(1-2*a3*s);
-    the factors and the Jacobi step coefficients are computed once, here.
-
-    Accepts s in (0, 1/a3): a float (np.float64 included) is evaluated with
-    `math` and gives a float, anything else with numpy.  The factors are
-    combined as sign(P) * exp(log_scale + p1*log(s) + p2*log1p(-a3*s) + log|P|),
-    so a power that alone would over- or underflow is offset by log_scale.
-    P comes as p * 2**e from `jacobi_scaled`, so log|P| = log|p| + e*log(2)
-    stays finite where P itself would overflow; where P is 0, so is psi.
-    """
-    p1, p2, ja, jb = eigenfunction_factors(d)
-    a3 = d.coeffs.a3
-    s_max, ln2, jacobi = 1.0 / a3, math.log(2.0), jacobi_scaled(n, ja, jb)
-
-    def psi(s):
-        if isinstance(s, float):
-            inside = 0.0 < s < s_max
-        else:
-            import numpy as np
-
-            s = np.asarray(s, dtype=float)
-            inside = np.all((s > 0.0) & (s < s_max))
-        if not inside:
-            raise DomainError(f"s outside (0, {s_max})")
-        poly, exponent = jacobi(1.0 - 2.0 * a3 * s)
-
-        def log_value(log, log1p):
-            return log_scale + exponent * ln2 + p1 * log(s) + p2 * log1p(-a3 * s) + log(abs(poly))
-
-        if isinstance(s, float):
-            try:  # math.log(0.0) raises, and numpy's log(0) = -inf gives 0.0 too
-                return math.copysign(math.exp(log_value(math.log, math.log1p)), poly) if poly else 0.0
-            except OverflowError:
-                raise DomainError("eigenfunction overflow") from None
-        with np.errstate(divide="ignore"):
-            value = np.sign(poly) * np.exp(log_value(np.log, np.log1p))
-        if not np.all(np.isfinite(value)):
-            raise DomainError("eigenfunction overflow")
-        return value if value.ndim else float(value)
-
-    return psi

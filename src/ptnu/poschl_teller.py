@@ -18,9 +18,9 @@ import sys
 from collections import namedtuple
 
 from .errors import DomainError, NonFinite
-from .nu import (SpectralFamily, checked_record, derive_constants, eigenfunction,
-                 eigenfunction_factors, index_text, solve_energy)
-from .special_functions import jacobi_log_norm
+from .nu import (SpectralFamily, checked_record, derive_constants, eigenfunction_factors,
+                 index_text, solve_energy)
+from .special_functions import jacobi_log_norm, jacobi_scaled
 
 
 class PtPotential(checked_record("PtPotential", "m v1 v2 alpha")):
@@ -151,6 +151,8 @@ def normalized_wavefunction(p: PtPotential, n: int):
     s = p1/(p1+p2).  Under x = cos 2ar the integral of R_n^2 over the well
     becomes the Jacobi weight integral with exponents 2*p1 - 1/2 = ja and
     2*p2 - 1/2 = jb, so it equals C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb).
+    The callable sums the logs of C, s^p1, (1-s)^p2 and |P| (finite by
+    `jacobi_scaled` where P overflows) before one exp; where P is 0, so is R_n.
 
     Raises DomainError where rounding could move the norm by more than
     NORM_RTOL: on the paper's potential, for alpha below about 2.8e-7.
@@ -184,7 +186,7 @@ def normalized_wavefunction(p: PtPotential, n: int):
     norm = math.exp(-0.5 * log_integral)
     alpha = p.alpha
     r_max = p.r_max
-    psi = eigenfunction(d, n, log_scale)
+    jacobi = jacobi_scaled(n, ja, jb)
 
     def wavefunction(r):
         if isinstance(r, float):
@@ -198,7 +200,23 @@ def normalized_wavefunction(p: PtPotential, n: int):
             if not np.all((r > 0.0) & (r < r_max)):
                 raise DomainError(f"r outside the well (0, {r_max})")
             s = np.clip(np.sin(alpha * r) ** 2, _S_LO, _S_HI)
-        return norm * psi(s)
+        poly, exponent = jacobi(1.0 - 2.0 * s)
+
+        def log_value(log, log1p):
+            return log_scale + exponent * ln2 + p1 * log(s) + p2 * log1p(-s) + log(abs(poly))
+
+        if isinstance(r, float):
+            try:  # math.log(0.0) raises, and numpy's log(0) = -inf gives 0.0 too
+                value = math.copysign(math.exp(log_value(math.log, math.log1p)), poly) if poly else 0.0
+            except OverflowError:
+                raise DomainError("wavefunction overflow") from None
+            return norm * value
+        with np.errstate(divide="ignore"):
+            value = np.sign(poly) * np.exp(log_value(np.log, np.log1p))
+        if not np.all(np.isfinite(value)):
+            raise DomainError("wavefunction overflow")
+        value = norm * value
+        return value if value.ndim else float(value)
 
     return BoundState(n=n, energy=energy, eps=eps, norm=norm), wavefunction
 

@@ -50,6 +50,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("wavefunction", ["wavefunction"]),
     ("wavefunction_n2_points400_alpha1.2",
      ["wavefunction", "--n", "2", "--points", "400", "--alpha", "1.2"]),
+    ("wavefunction_n6_points1000_alpha0.002",
+     ["wavefunction", "--n", "6", "--points", "1000", "--alpha", "0.002"]),
 ])
 def test_output_matches_golden(name, argv):
     # golden files hold the stdout of the quadrature-normalized implementation
@@ -345,7 +347,7 @@ def test_config_file_unknown_key(tmp_path):
 def test_config_file_bad_value(tmp_path):
     config = tmp_path / "bad.cfg"
     # the last two are not UTF-8, and longer than any config file needs
-    for text in (b"m=ten\n", b"alpha=1.2,x\n", b"m=10\n\xff\xfe=3\n", b"#" * 65537):
+    for text in (b"m=ten\n", b"alpha=1.2,x\n", b"m 10\n", b"m=10\n\xff\xfe=3\n", b"#" * 65537):
         config.write_bytes(text)
         code, out, err = run_main(["table2", "--config", str(config)])
         assert (code, out) == (2, ""), text
@@ -366,6 +368,9 @@ def test_config_file_sets_every_key_as_the_flags_do(tmp_path):
     assert json.loads(from_file[1])[0]["alpha"] == 1.1
 
 
+OVERFLOWING_LIMIT = ["limit", "--m", "1e-300", "--v1", "1e308", "--v2", "1e307"]
+
+
 def test_invalid_flags_exit_two():
     for argv in (["table2", "--precision", "0"],
                  ["table2", "--m", "-4"],
@@ -379,6 +384,8 @@ def test_invalid_flags_exit_two():
                  # finite inputs whose results leave floating-point range
                  ["table2", "--m", "1e308"],
                  ["limit", "--v1", "1e308", "--v2", "1e308", "--format", "json"],
+                 # the limit overflows; the printed-value check refuses it
+                 OVERFLOWING_LIMIT,
                  ["verify", "--alpha", "1.2", "--nmax", "0", "--m", "1e300", "--v1", "1e10",
                   "--grid-points", "1000"],
                  # extreme range parameters: 4 alpha^2 underflows, dstebz cannot
@@ -413,6 +420,8 @@ def test_invalid_flags_exit_two():
         assert code == 2, argv
         assert out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+        if argv is OVERFLOWING_LIMIT:
+            assert "is not finite" in err, err
 
 
 @pytest.mark.parametrize("argv", [

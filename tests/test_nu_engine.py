@@ -1,16 +1,13 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
-from helpers import M_REF, TABLE2_ALPHAS, reference_potential
+from helpers import TABLE2_ALPHAS, reference_potential
 from ptnu import (
     NuCoefficients,
-    PtPotential,
     SpectralFamily,
     derive_constants,
-    eigenfunction,
     eigenfunction_factors,
     energy_closed_form,
     quantization_residual,
@@ -374,7 +371,7 @@ def test_coefficient_record_is_immutable():
     assert c == (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
-# --- eigenfunction assembly --------------------------------------------------
+# --- eigenfunction factors ---------------------------------------------------
 
 def test_eigenfunction_factors_pt():
     d = derive_constants(pt_coefficients())
@@ -401,49 +398,3 @@ def test_eigenfunction_factors_requires_positive_a3():
     d = derive_constants(NuCoefficients(1.0, 0.0, 0.0, 1.0, 1.0, 1.0))
     with pytest.raises(DomainError, match="eigenfunction factors need a3 > 0"):
         eigenfunction_factors(d)
-
-
-def test_eigenfunction_ground_state_is_power_product():
-    d = derive_constants(pt_coefficients())
-    p1, p2, _, _ = eigenfunction_factors(d)
-    rng = np.random.default_rng(9)
-    samples = rng.uniform(1e-6, 1.0 - 1e-6, 100)
-    with mpmath.workdps(30):
-        expected = [float(mpmath.mpf(s) ** p1 * (1 - mpmath.mpf(s)) ** p2) for s in samples]
-    for s, value in zip(samples, expected):
-        assert eigenfunction(d, 0, 0.0)(s) == pytest.approx(value, rel=1e-14)
-    assert np.allclose(eigenfunction(d, 0, 0.0)(samples), expected, rtol=1e-14, atol=0.0)
-
-
-def test_eigenfunction_first_excited_at_midpoint():
-    d = derive_constants(pt_coefficients(n=1))
-    p1, p2, ja, jb = eigenfunction_factors(d)
-    # P_1^(a,b)(0) = (a - b)/2 from the explicit degree-1 form
-    expected = 0.5 ** p1 * 0.5 ** p2 * (ja - jb) / 2.0
-    assert eigenfunction(d, 1, 0.0)(0.5) == pytest.approx(expected, rel=1e-14)
-
-
-def test_eigenfunction_is_zero_at_a_zero_of_the_polynomial():
-    # V1 = V2 makes ja = jb, so P_1 is 0 at x = 1 - 2s = 0; math.log(0.0)
-    # raises where numpy's log gives -inf, and both paths return 0.0
-    p = PtPotential(M_REF, 3.0, 3.0, 1.2)
-    d = derive_constants(to_nu_family(p).coefficients(2.0 * p.m * energy_closed_form(p, 1)))
-    _, _, ja, jb = eigenfunction_factors(d)
-    assert ja == jb
-    value = eigenfunction(d, 1, 0.0)(0.5)
-    assert type(value) is float and value == 0.0
-    assert eigenfunction(d, 1, 0.0)(np.array([0.5])).tolist() == [0.0]
-
-
-def test_eigenfunction_vanishes_at_origin():
-    d = derive_constants(pt_coefficients())
-    assert abs(eigenfunction(d, 0, 0.0)(1e-9)) < 1e-30
-
-
-def test_eigenfunction_domain_checks():
-    d = derive_constants(pt_coefficients())
-    for s in (0.0, -0.5, 1.0, 1.5):
-        with pytest.raises(DomainError):
-            eigenfunction(d, 0, 0.0)(s)
-    with pytest.raises(DomainError):
-        eigenfunction(d, 0, 0.0)(np.array([0.5, 1.0]))

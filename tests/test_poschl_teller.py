@@ -404,6 +404,56 @@ def test_wavefunction_sine_exponent():
     assert 2.0 * p1 == pytest.approx(8.8483, abs=1e-4)
 
 
+def exact_factors(p):
+    """(p1, p2, ja, jb) at 30 digits: p1 = 1/4 + sqrt(1/16 + V1'/(4 alpha^2)),
+    p2 the same in V2', and the Jacobi indices 2*p1 - 1/2, 2*p2 - 1/2."""
+    with mpmath.workdps(30):
+        alpha2 = 4 * mpmath.mpf(p.alpha) ** 2
+        p1, p2 = (0.25 + mpmath.sqrt(0.0625 + 2 * mpmath.mpf(p.m) * v / alpha2)
+                  for v in (mpmath.mpf(p.v1), mpmath.mpf(p.v2)))
+        return p1, p2, 2 * p1 - 0.5, 2 * p2 - 0.5
+
+
+def test_ground_state_is_the_power_product():
+    # R_0 = norm * C * s^p1 (1-s)^p2 at the s the callable forms from r; a
+    # ratio to the midpoint sample drops norm and C
+    p = PT_REF
+    p1, p2, _, _ = exact_factors(p)
+    r_fn = normalized_wavefunction(p, 0)[1]
+    rng = np.random.default_rng(9)
+    r = np.append(np.arcsin(np.sqrt(rng.uniform(1e-6, 1.0 - 1e-6, 100))) / p.alpha, p.r_max / 2)
+    for values, s in (([r_fn(x) for x in r.tolist()], [math.sin(p.alpha * x) ** 2 for x in r]),
+                      (r_fn(r), np.sin(p.alpha * r) ** 2)):
+        with mpmath.workdps(30):
+            envelope = [mpmath.mpf(x) ** p1 * (1 - mpmath.mpf(x)) ** p2 for x in s]
+            expected = [float(e / envelope[-1]) for e in envelope]
+        np.testing.assert_allclose(np.divide(values, values[-1]), expected, rtol=1e-14, atol=0.0)
+
+
+def test_first_excited_state_at_the_midpoint():
+    # at s = 1/2 the envelope is 2^-(p1+p2) and P_1^(ja,jb)(0) = (ja - jb)/2
+    # from the explicit degree-1 form; C = exp(log_scale) puts the envelope's
+    # peak, at s = p1/(p1+p2), at 1
+    p = PT_REF
+    state, r_fn = normalized_wavefunction(p, 1)
+    p1, p2, ja, jb = exact_factors(p)
+    with mpmath.workdps(30):
+        log_scale = -(p1 * mpmath.log(p1 / (p1 + p2)) + p2 * mpmath.log(p2 / (p1 + p2)))
+        expected = float(state.norm * mpmath.exp(log_scale) * 2 ** -(p1 + p2) * (ja - jb) / 2)
+    assert r_fn(p.r_max / 2) == pytest.approx(expected, rel=1e-13)
+    assert r_fn(np.array([p.r_max / 2])) == pytest.approx([expected], rel=1e-13)
+
+
+def test_wavefunction_is_exactly_zero_at_a_zero_of_the_polynomial():
+    # the Jacobi factor of n = 1 rounds to exactly 0 at this r; math.log(0.0)
+    # raises where numpy's log gives -inf, and both paths return 0.0
+    r = 2.1157167096330998
+    r_fn = normalized_wavefunction(PtPotential(10.0, 5.0, 3.0, 0.4), 1)[1]
+    value = r_fn(r)
+    assert type(value) is float and value == 0.0
+    assert r_fn(np.array([r])).tolist() == [0.0]
+
+
 def test_wavefunction_vanishes_at_both_ends():
     r_fn = normalized_wavefunction(PT_REF, 1)[1]
     interior_peak = np.max(np.abs(r_fn(np.linspace(0.05, PT_REF.r_max - 0.05, 500))))

@@ -178,6 +178,11 @@ def test_integrate_rejects_nonfinite():
         integrate(lambda x: np.asarray(x) * np.nan, 0.0, 1.0, 7)
 
 
+def test_integrate_refuses_a_panel_count_below_one():
+    with pytest.raises(DomainError, match="panel count must be >= 1, got 0"):
+        integrate(lambda x: 1.0, 0.0, 1.0, 0)
+
+
 def _check_rule(nodes, weights, lo, hi):
     nodes, weights = nodes.ravel(), weights.ravel()
     assert np.all(nodes > lo) and np.all(nodes < hi)
