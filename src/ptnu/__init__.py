@@ -6,7 +6,7 @@ inside the functions that handle arrays.
 """
 from . import errors
 from .nu import (NuCoefficients, NuDerived, SpectralFamily, derive_constants,
-                 eigenfunction_factors, quantization_residual, solve_energy)
+                 quantization_residual, solve_energy)
 from .oracle import RadialOperator, discretize, lowest_eigenvalues, ode_residual, richardson
 from .poschl_teller import (BoundState, PtPotential, alpha_zero_limit, energy_closed_form,
                             energy_via_nu, normalize, normalized_wavefunction, spectrum_table,
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NuCoefficients", "NuDerived", "SpectralFamily", "derive_constants",
-    "eigenfunction_factors", "quantization_residual", "solve_energy",
+    "quantization_residual", "solve_energy",
     "RadialOperator", "discretize", "lowest_eigenvalues", "ode_residual", "richardson",
     "BoundState", "PtPotential", "alpha_zero_limit", "energy_closed_form",
     "energy_via_nu", "normalize", "normalized_wavefunction", "spectrum_table", "to_nu_family",

@@ -7,12 +7,8 @@ Solves any problem that can be cast into the template
 
 by deriving the standard chain of constants a4..a13, evaluating the
 polynomial-termination condition that quantizes the spectral parameter,
-root-finding energies for a family parameterized by eps whose condition
-is affine in eps, and deriving the exponents and Jacobi indices of
-
-    psi(s) = s^p1 * (1 - a3*s)^p2 * P_n^(ja, jb)(1 - 2*a3*s)
-
-for a3 > 0.
+and root-finding energies for a family parameterized by eps whose
+condition is affine in eps.
 
 The auxiliary constant k takes the minus root throughout: that principal
 choice gives the physical solution family, whose tau has negative slope.
@@ -76,27 +72,24 @@ class NuDerived(namedtuple("NuDerived", "coeffs a4 a5 a6 a7 a8 a9 a10 a11 a12 a1
     __slots__ = ()
 
 
-def _roots(c: NuCoefficients, a9: float | None = None) -> tuple[float, ...]:
-    """(a4, a5, a6, a7, a8, a9, sqrt(a8), sqrt(a9)); an a9 given replaces
-    a3*a7 + a3^2*a8 + a6.  Raises DomainError when a8 < 0 or a9 < 0:
-    the method then does not apply."""
+def _roots(c: NuCoefficients) -> tuple[float, ...]:
+    """(a4, a5, a6, a7, a8, a9, sqrt(a8), sqrt(a9)).  Raises DomainError
+    when a8 < 0 or a9 < 0: the method then does not apply."""
     a1, a2, a3, x1, x2, x3 = c
     a4 = 0.5 * (1.0 - a1)
     a5 = 0.5 * (a2 - 2.0 * a3)
     a6 = a5 * a5 + x1
     a7 = 2.0 * a4 * a5 - x2
     a8 = a4 * a4 + x3
-    a9 = a3 * a7 + a3 * a3 * a8 + a6 if a9 is None else a9
+    a9 = a3 * a7 + a3 * a3 * a8 + a6
     if a8 < 0.0 or a9 < 0.0:
         raise DomainError(f"need a8 >= 0 and a9 >= 0, got a8={a8}, a9={a9}")
     return a4, a5, a6, a7, a8, a9, math.sqrt(a8), math.sqrt(a9)
 
 
-def derive_constants(c: NuCoefficients, a9: float | None = None) -> NuDerived:
-    """Run the constant pipeline a4..a13; raises as `_roots`.  a9 = (a5 +
-    a3*a4)^2 + x1 - a3*x2 + a3^2*x3 cancels where x1..x3 dwarf it, so a
-    family that has it in closed form may pass it."""
-    a4, a5, a6, a7, a8, a9, s8, s9 = _roots(c, a9)
+def derive_constants(c: NuCoefficients) -> NuDerived:
+    """Run the constant pipeline a4..a13; raises as `_roots`."""
+    a4, a5, a6, a7, a8, a9, s8, s9 = _roots(c)
     k = -(a7 + 2.0 * c.a3 * a8) - 2.0 * math.sqrt(a8 * a9)
     a10 = c.a1 + 2.0 * a4 + 2.0 * s8
     a11 = c.a2 - 2.0 * a5 + 2.0 * (s9 + c.a3 * s8)
@@ -219,14 +212,3 @@ def solve_energy(f: SpectralFamily, n: int, hi: float) -> float:
         raise NonConvergence(f"residual {r} above {tol} after the affine step")
     return eps
 
-
-def eigenfunction_factors(d: NuDerived) -> tuple[float, float, float, float]:
-    """Exponents and Jacobi indices (p1, p2, ja, jb) of the solution factors."""
-    a3 = d.coeffs.a3
-    if a3 <= 0.0:
-        raise DomainError("eigenfunction factors need a3 > 0")
-    p1 = d.a12
-    p2 = -d.a12 - d.a13 / a3
-    ja = d.a10 - 1.0
-    jb = (d.a11 - d.a10 - 1.0) / a3
-    return p1, p2, ja, jb

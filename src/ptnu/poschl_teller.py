@@ -6,10 +6,10 @@ r in (0, pi/(2*alpha)).  Natural units (hbar = c = 1) throughout: masses
 and energies in fm^-1, the spectral parameter eps = 2*m*E in fm^-2.
 
 The substitution s = sin^2(alpha*r) maps the l = 0 radial equation onto
-the parametric template handled by `ptnu.nu`, which yields both the
-closed-form energy levels and Jacobi-polynomial radial wavefunctions
+the parametric template of `ptnu.nu`, whose root-finder checks the
+closed-form energy levels.  The radial wavefunctions are closed form too:
 
-    R_n(r) ~ (sin ar)^k1 (cos ar)^k2 P_n^(ja,jb)(cos 2ar).
+    R_n(r) ~ (sin ar)^k1 (cos ar)^k2 P_n^(k1-1/2, k2-1/2)(cos 2ar).
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ import sys
 from collections import namedtuple
 
 from .errors import DomainError, NonFinite
-from .nu import (SpectralFamily, checked_record, derive_constants, eigenfunction_factors,
-                 index_text, solve_energy)
+from .nu import SpectralFamily, checked_record, index_text, solve_energy
 from .special_functions import jacobi_log_norm, jacobi_scaled
 
 
@@ -110,8 +109,9 @@ def energy_closed_form(p: PtPotential, n: int) -> float:
 
 def alpha_zero_limit(p: PtPotential) -> float:
     """Common limit of every level as the range parameter goes to zero:
-    V1 + V2 + 2*sqrt(V1*V2), the floor of the well."""
-    return p.v1 + p.v2 + 2.0 * math.sqrt(p.v1 * p.v2)
+    V1 + V2 + 2*sqrt(V1*V2), the floor of the well.  The two roots are
+    taken apart, so the product cannot overflow."""
+    return p.v1 + p.v2 + 2.0 * math.sqrt(p.v1) * math.sqrt(p.v2)
 
 
 def energy_via_nu(p: PtPotential, n: int) -> float:
@@ -141,16 +141,18 @@ NORM_RTOL = 1e-6
 
 def normalized_wavefunction(p: PtPotential, n: int):
     """(BoundState, callable): level n and its unit-norm radial function
-    norm * R_n of r, from one pass of the template pipeline at the
-    closed-form energy.  The callable evaluates a float r (np.float64
-    included) with `math` and gives a float, anything else with numpy.
+    norm * R_n of r, both in closed form.  The callable evaluates a float r
+    (np.float64 included) with `math` and gives a float, anything else
+    with numpy.
 
-    R_n(r) = C (sin ar)^(2*p1) (cos ar)^(2*p2) P_n^(ja,jb)(cos 2ar), with
-    C = exp(log_scale) putting the peak of the envelope s^p1 (1-s)^p2 at
-    1: log_scale = -max_s[p1*log(s) + p2*log(1-s)], taken at
-    s = p1/(p1+p2).  Under x = cos 2ar the integral of R_n^2 over the well
-    becomes the Jacobi weight integral with exponents 2*p1 - 1/2 = ja and
-    2*p2 - 1/2 = jb, so it equals C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb).
+    R_n(r) = C (sin ar)^(2*p1) (cos ar)^(2*p2) P_n^(ja,jb)(cos 2ar): the
+    paper's exponents k1 = 2*p1 and k2 = 2*p2, with ja = k1 - 1/2 =
+    sqrt(alpha^2 + 8*m*V1)/(2*alpha) and jb the same in V2.  C =
+    exp(log_scale) puts the peak of the envelope s^p1 (1-s)^p2 at 1:
+    log_scale = -max_s[p1*log(s) + p2*log(1-s)], taken at s = p1/(p1+p2).
+    Under x = cos 2ar the integral of R_n^2 over the well becomes the
+    Jacobi weight integral with exponents ja and jb, so it equals
+    C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb).
     The callable sums the logs of C, s^p1, (1-s)^p2 and |P| (finite by
     `jacobi_scaled` where P overflows) before one exp; where P is 0, so is R_n.
 
@@ -159,15 +161,11 @@ def normalized_wavefunction(p: PtPotential, n: int):
     """
     energy = energy_closed_form(p, n)
     eps = 2.0 * p.m * energy
-    # The template's a9 cancels terms of order v1/alpha^2 to leave this one,
-    # so p2 = 1/4 + sqrt(a9) keeps its digits as v1 outgrows v2.  p2 and jb
-    # still lose a few ulp of sqrt(a8) ~ ja/2, which the norm check bounds.
-    d = derive_constants(to_nu_family(p).coefficients(eps),
-                         0.0625 + p.v2_prime / (4.0 * p.alpha * p.alpha))
-    p1, p2, ja, jb = eigenfunction_factors(d)
-    if not (p1 > 0.0 and p2 > 0.0):
-        raise DomainError(f"exponents p1={p1}, p2={p2} lost to rounding at m={p.m}, v1={p.v1}, "
-                          f"v2={p.v2}, alpha={p.alpha}")
+    a2 = p.alpha * p.alpha
+    ja = math.sqrt(a2 + 8.0 * p.m * p.v1) / (2.0 * p.alpha)
+    jb = math.sqrt(a2 + 8.0 * p.m * p.v2) / (2.0 * p.alpha)
+    p1 = 0.25 + 0.5 * ja
+    p2 = 0.25 + 0.5 * jb
     log_scale = -(p1 * math.log(p1 / (p1 + p2)) + p2 * math.log(p2 / (p1 + p2)))
     ln2 = math.log(2.0)
     log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * ln2

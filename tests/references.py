@@ -3,9 +3,10 @@
 The explicit finite-sum form of the Jacobi polynomials checks the
 three-term recurrence in `ptnu.special_functions`, `potential_value`
 evaluates the well pointwise for the limit-law and floor checks, and
-`tau_prime` reads the slope of the template's tau off its derived
-constants.  None runs through the package code it checks: this module
-imports only math, numpy and `ptnu.errors`.
+`tau_prime` and `eigenfunction_factors` read the slope of the template's
+tau and the NU method's solution factors off its derived constants.
+None runs through the package code it checks: this module imports only
+math, numpy and `ptnu.errors`.
 """
 import math
 
@@ -74,3 +75,10 @@ def tau_prime(d) -> float:
     a3 >= 0, so tau' <= 0 always: no production path needs the flag.
     """
     return -2.0 * d.coeffs.a3 - 2.0 * (d.s9 + d.coeffs.a3 * d.s8)
+
+
+def eigenfunction_factors(d) -> tuple[float, float, float, float]:
+    """(p1, p2, ja, jb) of the NU solution s^p1 (1 - a3*s)^p2
+    P_n^(ja, jb)(1 - 2*a3*s), read off the `ptnu.NuDerived` d (a3 > 0)."""
+    a3 = d.coeffs.a3
+    return d.a12, -d.a12 - d.a13 / a3, d.a10 - 1.0, (d.a11 - d.a10 - 1.0) / a3

@@ -313,6 +313,15 @@ def test_limit_small_alpha_energy():
     assert rows[0][1] == "15.74951629"
 
 
+def test_limit_of_depths_whose_product_overflows():
+    # V1 * V2 = 1e615 overflows, while V1 + V2 + 2 sqrt(V1) sqrt(V2) is a float
+    code, out, _ = run_main(["limit", "--m", "1e-300", "--v1", "1e308", "--v2", "1e307",
+                             "--format", "json"])
+    assert code == 0
+    limits = {row["limit"] for row in json.loads(out)}
+    assert limits == {1.732455532033676e308}
+
+
 # --- configuration -----------------------------------------------------------
 
 def test_config_file_and_flag_override(tmp_path):
@@ -368,7 +377,9 @@ def test_config_file_sets_every_key_as_the_flags_do(tmp_path):
     assert json.loads(from_file[1])[0]["alpha"] == 1.1
 
 
-OVERFLOWING_LIMIT = ["limit", "--m", "1e-300", "--v1", "1e308", "--v2", "1e307"]
+# the limit, V1 + V2 + 2 sqrt(V1) sqrt(V2), rounds to inf while the level,
+# summed in another order, rounds to the largest float
+OVERFLOWING_LIMIT = ["limit", "--m", "1e-10", "--v1", "1e308", "--v2", "1.1613154887379645e307"]
 
 
 def test_invalid_flags_exit_two():
@@ -384,7 +395,8 @@ def test_invalid_flags_exit_two():
                  # finite inputs whose results leave floating-point range
                  ["table2", "--m", "1e308"],
                  ["limit", "--v1", "1e308", "--v2", "1e308", "--format", "json"],
-                 # the limit overflows; the printed-value check refuses it
+                 # the limit overflows and the level does not; the
+                 # printed-value check refuses the deviation
                  OVERFLOWING_LIMIT,
                  ["verify", "--alpha", "1.2", "--nmax", "0", "--m", "1e300", "--v1", "1e10",
                   "--grid-points", "1000"],
@@ -398,7 +410,7 @@ def test_invalid_flags_exit_two():
                  ["wavefunction", "--alpha", "1e-50"],
                  # the norm's rounding could exceed its bound
                  ["wavefunction", "--alpha", "1e-12"],
-                 # the exponent p2 cancels to 0, and the grid's sines to 0
+                 # the norm leaves floating-point range
                  ["wavefunction", "--v1", "1e40"],
                  ["verify", "--alpha", "1e308", "--nmax", "0"],
                  # above a ceiling on the size of a run

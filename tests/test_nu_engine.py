@@ -8,7 +8,6 @@ from ptnu import (
     NuCoefficients,
     SpectralFamily,
     derive_constants,
-    eigenfunction_factors,
     energy_closed_form,
     quantization_residual,
     solve_energy,
@@ -369,32 +368,3 @@ def test_coefficient_record_is_immutable():
         NuCoefficients._make((1.0, 1.0, 1.0, math.inf, 0.0, 0.0))
     assert c._replace(x1=2.0) == (1.0, 1.0, 1.0, 2.0, 0.0, 0.0)
     assert c == (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-
-
-# --- eigenfunction factors ---------------------------------------------------
-
-def test_eigenfunction_factors_pt():
-    d = derive_constants(pt_coefficients())
-    p1, p2, ja, jb = eigenfunction_factors(d)
-    # exponent of the sine factor: p1 = (1 + sqrt(1 + 4*V1'/alpha^2))/4
-    assert p1 == pytest.approx((1.0 + math.sqrt(1.0 + 400.0 / 1.44)) / 4.0, rel=1e-14)
-    # Jacobi indices 2*sqrt(a8) and 2*sqrt(a9); the sine-side index rides
-    # on a8 (the x3 root), certified by the defect check on the full ODE
-    assert ja == pytest.approx(2.0 * math.sqrt(1.0 / 16.0 + 100.0 / 5.76), rel=1e-14)
-    assert jb == pytest.approx(2.0 * math.sqrt(1.0 / 16.0 + 60.0 / 5.76), rel=1e-14)
-    assert ja == pytest.approx(8.3483, abs=1e-4)
-    assert jb == pytest.approx(6.4743, abs=1e-4)
-    assert p2 == pytest.approx(-d.a12 - d.a13, rel=1e-14)
-
-
-def test_eigenfunction_factors_zero_p1():
-    # a4 = 0 and x3 = 0 force a8 = 0 hence p1 = a12 = 0
-    d = derive_constants(NuCoefficients(1.0, 2.0, 1.0, 1.0, 0.0, 0.0))
-    p1, _, _, _ = eigenfunction_factors(d)
-    assert p1 == 0.0
-
-
-def test_eigenfunction_factors_requires_positive_a3():
-    d = derive_constants(NuCoefficients(1.0, 0.0, 0.0, 1.0, 1.0, 1.0))
-    with pytest.raises(DomainError, match="eigenfunction factors need a3 > 0"):
-        eigenfunction_factors(d)

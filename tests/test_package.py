@@ -184,9 +184,16 @@ def test_three_routes_stay_independent():
             imported.update(alias.name for alias in node.names)
     assert imported.isdisjoint({"nu", "poschl_teller", "energy_closed_form"}), imported
 
+    # and the closed-form route builds its levels and states without the NU template
     tree = ast.parse((package / "poschl_teller.py").read_text(encoding="utf-8"))
-    [body] = [node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "energy_via_nu"]
-    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
-    named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
-    assert named.isdisjoint({"energy_closed_form", "normalize", "normalized_wavefunction"}), named
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    nu_route = {"to_nu_family", "SpectralFamily", "derive_constants", "quantization_residual",
+                "solve_energy"}
+    for name, avoided in (("energy_via_nu",
+                           {"energy_closed_form", "normalize", "normalized_wavefunction"}),
+                          ("energy_closed_form", nu_route), ("alpha_zero_limit", nu_route),
+                          ("normalized_wavefunction", nu_route)):
+        body = functions[name]
+        named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+        assert named.isdisjoint(avoided), (name, named & avoided)

@@ -34,7 +34,7 @@ from ptnu import (
 )
 from ptnu import poschl_teller as pt
 from ptnu.errors import DomainError, NonFinite, NoSignChange
-from references import potential_value
+from references import eigenfunction_factors, potential_value
 
 PT_REF = reference_potential(1.2)
 
@@ -102,9 +102,11 @@ def test_potential_record_is_checked_and_immutable():
 
 def test_family_underflowing_alpha_is_a_domain_error():
     # 4 alpha^2 rounds to 0 below about 1e-162; the closed form still runs
+    # (the state's norm leaves the float range there: see
+    # test_normalize_refuses_a_norm_out_of_range)
     p = PtPotential(10.0, 5.0, 3.0, 1e-163)
     assert energy_closed_form(p, 0) == alpha_zero_limit(p)
-    for compute in (to_nu_family, lambda p: energy_via_nu(p, 0), lambda p: normalize(p, 0)):
+    for compute in (to_nu_family, lambda p: energy_via_nu(p, 0)):
         with pytest.raises(DomainError):
             compute(p)
 
@@ -393,17 +395,6 @@ def test_wavefunction_defect_small_on_interior():
     assert residual <= 1e-6
 
 
-def test_wavefunction_sine_exponent():
-    from ptnu import derive_constants, eigenfunction_factors
-
-    p = PT_REF
-    eps = 2.0 * p.m * energy_closed_form(p, 0)
-    d = derive_constants(to_nu_family(p).coefficients(eps))
-    p1 = eigenfunction_factors(d)[0]
-    assert 2.0 * p1 == pytest.approx(0.5 * (1.0 + math.sqrt(1.0 + 400.0 / 1.44)), rel=1e-14)
-    assert 2.0 * p1 == pytest.approx(8.8483, abs=1e-4)
-
-
 def exact_factors(p):
     """(p1, p2, ja, jb) at 30 digits: p1 = 1/4 + sqrt(1/16 + V1'/(4 alpha^2)),
     p2 the same in V2', and the Jacobi indices 2*p1 - 1/2, 2*p2 - 1/2."""
@@ -412,6 +403,19 @@ def exact_factors(p):
         p1, p2 = (0.25 + mpmath.sqrt(0.0625 + 2 * mpmath.mpf(p.m) * v / alpha2)
                   for v in (mpmath.mpf(p.v1), mpmath.mpf(p.v2)))
         return p1, p2, 2 * p1 - 0.5, 2 * p2 - 0.5
+
+
+@pytest.mark.parametrize("alpha", TABLE2_ALPHAS)
+def test_nu_derivation_gives_the_closed_form_factors(alpha):
+    # the paper's NU route: the constant chain at the closed-form eps, read
+    # as s^p1 (1-s)^p2 P_n^(ja,jb), gives the factors the wavefunction uses
+    p = reference_potential(alpha)
+    expected = [float(x) for x in exact_factors(p)]
+    for n in range(7):
+        d = nu.derive_constants(to_nu_family(p).coefficients(2.0 * p.m * energy_closed_form(p, n)))
+        np.testing.assert_allclose(eigenfunction_factors(d), expected, rtol=1e-14, atol=0.0)
+    if alpha == 1.2:
+        assert 2.0 * expected[0] == pytest.approx(8.8483, abs=1e-4)
 
 
 def test_ground_state_is_the_power_product():
@@ -541,44 +545,42 @@ def test_normalize_bookkeeping():
 
 
 @pytest.mark.parametrize("v1", [1e10, 1e12, 1e14])
-def test_wavefunction_exponent_p2_keeps_its_digits_when_v1_dwarfs_v2(v1):
-    # the template's a9 cancels terms of order v1/alpha^2 to leave one of order
-    # v2/alpha^2; taken from that sum, p2 was off by 2.3e-7 of itself at
-    # v1 = 1e10, 1.4e-5 at 1e12 and 1.8e-3 at 1e14
-    derived = []
-
-    def derive(*args):
-        derived.append(nu.derive_constants(*args))
-        return derived[-1]
-
-    with mock.patch.object(pt, "derive_constants", side_effect=derive):
-        normalized_wavefunction(PtPotential(M_REF, v1, V2_REF, 1.2), 0)
-    _, p2, _, jb = nu.eigenfunction_factors(derived[0])
-    m, v2, alpha = (mpmath.mpf(x) for x in (M_REF, V2_REF, 1.2))
-    exact = 0.25 + mpmath.sqrt(0.0625 + 2 * m * v2 / (4 * alpha ** 2))
-    assert abs(p2 - exact) <= 1e-9 * exact
-    assert abs(jb - (2 * exact - 0.5)) <= 1e-9 * exact
+def test_ground_state_keeps_its_digits_when_v1_dwarfs_v2(v1):
+    # p1 grows as sqrt(v1) while p2 stays near 2.3, so the envelope peaks
+    # within about 1/p1 of s = 1; a p2 that carries rounding of order p1
+    # (as one formed by cancelling sqrt(a8) did) misses these ratios by
+    # 2.3e-11 to 3.8e-10.  Each sample is compared at the s the callable forms.
+    p = PtPotential(M_REF, v1, V2_REF, 1.2)
+    r_fn = normalized_wavefunction(p, 0)[1]
+    with mpmath.workdps(40):
+        k1, k2 = strengths(p)
+        p1, p2 = k1 / 2, k2 / 2
+        u_peak = p2 / (p1 + p2)
+        u = [u_peak * t for t in (1, 0.1, 0.3, 0.6, 0.9, 1.2, 2, 3, 5, 8, 10)]
+        r = [float(mpmath.asin(mpmath.sqrt(1 - x))) / p.alpha for x in u]
+        s = [mpmath.mpf(math.sin(p.alpha * x) ** 2) for x in r]
+        envelope = [x ** p1 * (1 - x) ** p2 for x in s]
+        expected = [float(e / envelope[0]) for e in envelope]
+    values = [r_fn(x) for x in r]
+    np.testing.assert_allclose(np.divide(values, values[0]), expected, rtol=1e-13, atol=0.0)
 
 
 def test_normalized_wavefunction_derives_once():
-    # one closed form, one family, one constant chain and one set of
-    # factors serve both the state and its callable, and normalize is
-    # that state from the same single pass
+    # one closed form serves both the state and its callable, normalize is
+    # that state, and neither runs the NU template
     p = reference_potential(0.4)
     for n in range(7):
         for build in (normalized_wavefunction, normalize):
             with mock.patch.object(pt, "energy_closed_form", wraps=energy_closed_form) as closed, \
                  mock.patch.object(pt, "to_nu_family", wraps=to_nu_family) as family, \
-                 mock.patch.object(pt, "derive_constants", wraps=nu.derive_constants) as derive, \
-                 mock.patch.object(pt, "eigenfunction_factors",
-                                   wraps=nu.eigenfunction_factors) as factors:
+                 mock.patch.object(nu, "derive_constants", wraps=nu.derive_constants) as derive:
                 result = build(p, n)
-            counts = (closed.call_count, family.call_count, derive.call_count, factors.call_count)
-            assert counts == (1, 1, 1, 1), (build.__name__, n, counts)
+            counts = (closed.call_count, family.call_count, derive.call_count)
+            assert counts == (1, 0, 0), (build.__name__, n, counts)
         assert result == normalized_wavefunction(p, n)[0]
 
 
-@pytest.mark.parametrize("alpha", [1e-50, 1e-100])
+@pytest.mark.parametrize("alpha", [1e-50, 1e-100, 1e-163])
 def test_normalize_refuses_a_norm_out_of_range(alpha):
     # the log of the norm cancels terms of order 1/alpha; its exp must stay finite
     p = reference_potential(alpha)

@@ -26,6 +26,7 @@ ALLOWED_UNREACHED = {
     "special_functions.gauss_rule": "perfbench/tracer.py TARGETS names it",
     "special_functions.jacobi": "perfbench/tracer.py TARGETS names it",
     "oracle.ode_residual": "perfbench/tracer.py TARGETS names it",
+    "nu.derive_constants": "perfbench/tracer.py TARGETS names it",
     "nu.NuCoefficients.__new__": "checks a template that a library caller builds",
     "nu.index_text": "the CLI ceilings keep n <= 1000, which prints in decimal",
 }
