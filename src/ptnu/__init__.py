@@ -1,8 +1,10 @@
 """Parametric Nikiforov-Uvarov engine, trigonometric Poschl-Teller bound
 states, self-contained special functions, and a finite-difference oracle.
 
-`import ptnu` loads neither numpy nor scipy: every module imports them
-inside the functions that handle arrays.
+`import ptnu` loads neither numpy nor scipy: every module imports numpy
+inside the functions that handle arrays, and none imports scipy; the
+oracle loads scipy's compiled LAPACK wrappers from their file when it
+first runs.
 """
 from . import errors
 from .nu import (NuCoefficients, NuDerived, SpectralFamily, derive_constants,

@@ -4,8 +4,9 @@ cross-verification sweeps, and the small-range limit scan.
 All numeric output is deterministic for a given configuration; csv/tsv/json
 carry the same formatted values and diagnostics go to stderr only.
 `table2` and `limit` need only the closed form, and `wavefunction`
-evaluates its samples one float at a time with `math`: numpy and scipy
-are loaded by `verify` alone, when the oracle first runs.
+evaluates its samples one float at a time with `math`: numpy and scipy's
+LAPACK extension are loaded by `verify` alone, when the oracle first runs,
+and scipy itself is never imported.
 """
 from __future__ import annotations
 

@@ -9,12 +9,15 @@ bisection on the Sturm negative-pivot count of the LDL^T factorization
 to fourth order by Richardson extrapolation over a grid doubling.
 
 Nothing here touches the template pipeline: agreement with the closed
-form certifies it through an unrelated computational path.  numpy and
-scipy are imported inside the functions that use them, so importing this
-module loads neither.
+form certifies it through an unrelated computational path.  Importing
+this module loads no array library: numpy is imported inside the
+functions that use it, and dstebz comes from scipy's compiled
+linalg/_flapack extension, loaded from its file without importing
+scipy.linalg, which costs more than a default `ptnu verify` spends in LAPACK.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -50,27 +53,50 @@ def discretize(p: PtPotential, n_points: int) -> RadialOperator:
     return RadialOperator(n_points=n_points, h=h, diag=diag, offdiag=-1.0 / (h * h))
 
 
-def lowest_eigenvalues(op: RadialOperator, count: int) -> list[float]:
-    """The `count` smallest eigenvalues, ascending, by LAPACK dstebz.
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK wrappers, loaded from their file alone, so that
+    neither scipy/__init__.py nor scipy/linalg/__init__.py runs.  The module
+    takes the bare name _flapack that its init function carries."""
+    import importlib.machinery
+    import importlib.util
 
-    The absolute tolerance handed to dstebz is the smallest positive
-    float, so its relative stopping rule governs: each eigenvalue is
-    bracketed to about 2 ulp of its magnitude.  dstebz gives up (raised
-    here as NonFinite) where the square of an off-diagonal entry
-    overflows, for alpha beyond about 1e76.
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        "_flapack", [f"{root}/linalg" for root in scipy.submodule_search_locations or ()])
+    if spec is None:
+        raise ModuleNotFoundError("the oracle needs scipy (its linalg/_flapack extension)",
+                                  name="scipy")
+    return importlib.util.module_from_spec(spec)
+
+
+def lowest_eigenvalues(op: RadialOperator, count: int) -> list[float]:
+    """The `count` smallest eigenvalues, ascending, by LAPACK dstebz, called
+    as scipy.linalg.eigvalsh_tridiagonal calls it for select="i" and
+    lapack_driver="stebz".
+
+    The absolute tolerance is the smallest positive float, so dstebz's
+    relative stopping rule governs: each eigenvalue is bracketed to about
+    2 ulp of its magnitude.  dstebz gives up (raised here as NonFinite)
+    where the square of an off-diagonal entry overflows, for alpha beyond
+    about 1e76.
     """
     import numpy as np
-    import scipy.linalg
 
     if not (1 <= count <= op.n_points):
         raise DomainError(f"need 1 <= count <= {op.n_points}, got {count}")
-    try:
-        values = scipy.linalg.eigvalsh_tridiagonal(
-            op.diag, np.full(op.n_points - 1, op.offdiag), select="i",
-            select_range=(0, count - 1), tol=np.finfo(float).tiny, lapack_driver="stebz")
-    except np.linalg.LinAlgError as exc:
-        raise NonFinite(f"dstebz failed on this operator: {exc}") from exc
-    return values.tolist()
+    if np.shape(op.diag) != (op.n_points,):
+        raise DomainError(f"need a diagonal of shape ({op.n_points},), got {np.shape(op.diag)}")
+    if not (np.all(np.isfinite(op.diag)) and math.isfinite(op.offdiag)):
+        raise NonFinite("operator has a NaN or infinite entry")
+    # range 2 selects by index, so vl = 0, vu = 1 go unread; order "E" sorts
+    # over the whole matrix
+    m, values, _, _, info = _flapack().dstebz(
+        op.diag, np.full(op.n_points - 1, op.offdiag), 2, 0.0, 1.0, 1, count,
+        np.finfo(float).tiny, "E")
+    if info != 0 or m != count:
+        raise NonFinite(f"dstebz failed on this operator: info={info}, {m} of {count} found")
+    return values[:count].tolist()
 
 
 def richardson(e_h: float, e_h2: float) -> float:

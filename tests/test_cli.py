@@ -487,7 +487,8 @@ def test_commands_accept_explicit_streams():
 # --- binary contract ---------------------------------------------------------
 
 def test_cli_import_does_not_load_scipy():
-    # the oracle defers its scipy import, so table2/limit/wavefunction never pay for it
+    # no module imports scipy: verify loads only its LAPACK extension, and only
+    # when the oracle first runs, so table2/limit/wavefunction never pay for it
     probe = "import sys, ptnu.cli; print('scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=CHILD_ENV)
@@ -500,10 +501,13 @@ def test_cli_import_does_not_load_scipy():
     ("from ptnu.cli import main; main(['table2'])", {"numpy", "scipy"}),
     ("from ptnu.cli import main; main(['limit'])", {"numpy", "scipy"}),
     ("from ptnu.cli import main; main(['wavefunction'])", {"numpy", "scipy"}),
+    ("from ptnu.cli import main; main(['verify', '--alpha', '1.2'])", {"scipy"}),
 ])
 def test_closed_form_commands_do_not_load_array_libraries(code, absent):
     # table2 and limit need only the closed form, and wavefunction evaluates
-    # its samples one float at a time: all three need only the math module
+    # its samples one float at a time: all three need only the math module.
+    # verify needs numpy, and of scipy only the LAPACK extension the oracle
+    # loads from its file
     probe = f"import sys; {code}; print(*{{m.split('.')[0] for m in sys.modules}})"
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=CHILD_ENV)
