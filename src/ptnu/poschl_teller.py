@@ -195,9 +195,9 @@ def normalized_wavefunction(p: PtPotential, n: int):
             import numpy as np
 
             r = np.asarray(r, dtype=float)
-            if not np.all((r > 0.0) & (r < r_max)):
+            if not ((r > 0.0) & (r < r_max)).all():
                 raise DomainError(f"r outside the well (0, {r_max})")
-            s = np.clip(np.sin(alpha * r) ** 2, _S_LO, _S_HI)
+            s = np.minimum(np.maximum(np.sin(alpha * r) ** 2, _S_LO), _S_HI)
         poly, exponent = jacobi(1.0 - 2.0 * s)
 
         def log_value(log, log1p):
@@ -210,8 +210,8 @@ def normalized_wavefunction(p: PtPotential, n: int):
                 raise DomainError("wavefunction overflow") from None
             return norm * value
         with np.errstate(divide="ignore"):
-            value = np.sign(poly) * np.exp(log_value(np.log, np.log1p))
-        if not np.all(np.isfinite(value)):
+            value = np.copysign(np.exp(log_value(np.log, np.log1p)), poly)
+        if not np.isfinite(value).all():
             raise DomainError("wavefunction overflow")
         value = norm * value
         return value if value.ndim else float(value)

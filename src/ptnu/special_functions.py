@@ -45,7 +45,8 @@ def jacobi_scaled(n: int, a: float, b: float):
     step coefficients computed once, here.  For a float x (np.float64
     included) p is a float and e an int, computed with `math`; otherwise p
     is an ndarray shaped like x and e an int ndarray of that shape, or the
-    int 0 for n < _RESCALE_STEPS, computed with numpy.
+    int 0 for n < _RESCALE_STEPS, computed with numpy.  At n = 0, p is 1.0
+    or np.ones_like(x); for n >= 1, P_0 enters the recurrence as the scalar 1.0.
 
     Every _RESCALE_STEPS steps of the recurrence, both carried terms are
     divided by an exact power of two, so p stays in range however large
@@ -64,16 +65,16 @@ def jacobi_scaled(n: int, a: float, b: float):
 
     def scaled(x):
         if isinstance(x, float):
-            p_prev, larger, frexp, ldexp = 1.0, max, math.frexp, math.ldexp
+            larger, frexp, ldexp = max, math.frexp, math.ldexp
         else:
             import numpy as np
 
             x = np.asarray(x, dtype=float)
-            p_prev, larger, frexp, ldexp = np.ones_like(x), np.maximum, np.frexp, np.ldexp
-        exponent = 0
+            larger, frexp, ldexp = np.maximum, np.frexp, np.ldexp
+        p_prev, exponent = 1.0, 0
         if n == 0:
-            return p_prev, exponent
-        p = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+            return (p_prev if isinstance(x, float) else np.ones_like(x)), exponent
+        p = (a + 1.0) + (0.5 * (a + b + 2.0)) * (x - 1.0)
         for rescale, c0, t_minus_1, t_t_minus_2, c2 in steps:
             if rescale:
                 _, shift = frexp(larger(abs(p), abs(p_prev)))

@@ -2,7 +2,8 @@
 
 The explicit finite-sum form of the Jacobi polynomials checks the
 three-term recurrence in `ptnu.special_functions`, `potential_value`
-evaluates the well pointwise for the limit-law and floor checks, and
+evaluates the well pointwise for the limit-law and floor checks,
+`level_depth_slopes` differentiates the closed-form level by the depths, and
 `tau_prime` and `eigenfunction_factors` read the slope of the template's
 tau and the NU method's solution factors off its derived constants.
 None runs through the package code it checks: this module imports only
@@ -65,6 +66,21 @@ def potential_value(p, r: float) -> float:
         raise DomainError(f"r={r} outside the well (0, {p.r_max})")
     a_r = p.alpha * r
     return p.v1 / math.sin(a_r) ** 2 + p.v2 / math.cos(a_r) ** 2
+
+
+def level_depth_slopes(p, n: int) -> tuple[float, float]:
+    """(dE_n/dV1, dE_n/dV2) of the closed-form level of the `ptnu.PtPotential`
+    p, differentiated by hand:
+
+        dE_n/dV1 = 2 alpha (2n+1)/sqrt(alpha^2 + 8 m V1)
+                   + sqrt(alpha^2 + 8 m V2)/sqrt(alpha^2 + 8 m V1) + 1
+
+    and the same with V1 and V2 swapped."""
+    a2 = p.alpha * p.alpha
+    sq1 = math.sqrt(a2 + 8.0 * p.m * p.v1)
+    sq2 = math.sqrt(a2 + 8.0 * p.m * p.v2)
+    return (2.0 * p.alpha * (2 * n + 1) / sq1 + sq2 / sq1 + 1.0,
+            2.0 * p.alpha * (2 * n + 1) / sq2 + sq1 / sq2 + 1.0)
 
 
 def tau_prime(d) -> float:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -143,6 +144,39 @@ def test_jacobi_scaled_float_gives_the_bits_of_an_array(n, a, b):
         p_arr, e_arr = jacobi_scaled(n, a, b)(np.array([x]))
         assert type(p) is float and type(exponent) is int
         assert (p.hex(), exponent) == (float(p_arr[0]).hex(), int(e_arr[0]))
+
+
+GOLDEN_JACOBI = Path(__file__).resolve().parent / "golden" / "jacobi_scaled.txt"
+
+
+def _table2_indices(alpha):
+    # ja and jb of the paper's potential (10, 5, 3), as normalized_wavefunction forms them
+    return tuple(math.sqrt(alpha * alpha + 8.0 * 10.0 * v) / (2.0 * alpha) for v in (5.0, 3.0))
+
+
+def jacobi_scaled_golden_lines():
+    """float.hex of (p, e) from jacobi_scaled, for a float x and for one
+    ndarray of all 21 x, at x = k/10 - 1 and degrees spanning the rescale
+    steps.  Only +, -, *, / and exact frexp and ldexp go into it, so the
+    bits hold on every platform and numpy version."""
+    xs = [k / 10.0 - 1.0 for k in range(21)]
+    lines = []
+    for a, b in ((0.0, 0.0), (-0.5, 0.25), (3.2, 7.1), _table2_indices(1.2), _table2_indices(0.002)):
+        for n in (0, 1, 2, 15, 16, 17, 33, 100):
+            scaled = jacobi_scaled(n, a, b)
+            p_array, e_array = scaled(np.array(xs))
+            e_array = np.broadcast_to(e_array, p_array.shape)
+            for x, p_of_array, e_of_array in zip(xs, p_array.tolist(), e_array.tolist()):
+                p, e = scaled(x)
+                lines.append(f"{n} {a.hex()} {b.hex()} {x.hex()} {p.hex()} {e} "
+                             f"{p_of_array.hex()} {int(e_of_array)}\n")
+    return lines
+
+
+def test_jacobi_scaled_matches_golden():
+    # columns n, a, b, x, then p and e for a float x and for an ndarray; a
+    # rewrite of the recurrence must keep every bit of both
+    assert "".join(jacobi_scaled_golden_lines()) == GOLDEN_JACOBI.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("n,a,b", [(-1, 0.0, 0.0), (2, -1.0, 0.0), (2, 0.0, -1.5),
