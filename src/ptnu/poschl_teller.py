@@ -9,7 +9,7 @@ The substitution s = sin^2(alpha*r) maps the l = 0 radial equation onto
 the parametric template of `ptnu.nu`, whose root-finder checks the
 closed-form energy levels.  The radial wavefunctions are closed form too:
 
-    R_n(r) ~ (sin ar)^k1 (cos ar)^k2 P_n^(k1-1/2, k2-1/2)(cos 2ar).
+    R_n(r) = N_n (sin ar)^k1 (cos ar)^k2 P_n^(k1-1/2, k2-1/2)(cos 2ar).
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .errors import DomainError, NonFinite
+from .errors import DomainError
 from .nu import SpectralFamily, checked_record, index_text, solve_energy
 from .special_functions import jacobi_log_norm, jacobi_scaled
 
@@ -57,10 +57,12 @@ class PtPotential(checked_record("PtPotential", "m v1 v2 alpha")):
         return math.pi / (2.0 * self.alpha)
 
 
-class BoundState(namedtuple("BoundState", "n energy eps norm")):
-    """One s-wave level: quantum number, energy, eps = 2mE, and the scale
-    factor that gives the radial wavefunction unit L2 norm; an immutable
-    tuple (n, energy, eps, norm) with named fields."""
+class BoundState(namedtuple("BoundState", "n energy eps log_norm")):
+    """One s-wave level: quantum number, energy, eps = 2mE, and log N_n,
+    the log of the constant that gives the radial wavefunction unit L2
+    norm; an immutable tuple (n, energy, eps, log_norm) with named fields.
+    N_n itself leaves the float range at large n and small alpha, where
+    the normalized state does not."""
 
     __slots__ = ()
 
@@ -131,9 +133,9 @@ def energy_via_nu(p: PtPotential, n: int) -> float:
 _S_LO, _S_HI = sys.float_info.min, 1.0 - sys.float_info.epsilon / 2
 
 
-# Largest relative error allowed in a norm.  Its log sums terms of order
+# Largest relative error allowed in N_n.  log N_n sums terms of order
 # 1/alpha that cancel; 4 ulp of their summed magnitude bounds the rounding
-# (at most 1.2 ulp against a 60-digit reference) and moves the norm by half
+# (at most 1.2 ulp against a 60-digit reference) and moves N_n by half
 # that.  It is about 40 times the largest such estimate for alpha >= 1e-4,
 # m <= 50, V1, V2 <= 100 and n <= 100.
 NORM_RTOL = 1e-6
@@ -141,22 +143,21 @@ NORM_RTOL = 1e-6
 
 def normalized_wavefunction(p: PtPotential, n: int):
     """(BoundState, callable): level n and its unit-norm radial function
-    norm * R_n of r, both in closed form.  The callable evaluates a float r
+    R_n of r, both in closed form.  The callable evaluates a float r
     (np.float64 included) with `math` and gives a float, anything else
     with numpy.
 
-    R_n(r) = C (sin ar)^(2*p1) (cos ar)^(2*p2) P_n^(ja,jb)(cos 2ar): the
+    R_n(r) = N_n (sin ar)^(2*p1) (cos ar)^(2*p2) P_n^(ja,jb)(cos 2ar): the
     paper's exponents k1 = 2*p1 and k2 = 2*p2, with ja = k1 - 1/2 =
-    sqrt(alpha^2 + 8*m*V1)/(2*alpha) and jb the same in V2.  C =
-    exp(log_scale) puts the peak of the envelope s^p1 (1-s)^p2 at 1:
-    log_scale = -max_s[p1*log(s) + p2*log(1-s)], taken at s = p1/(p1+p2).
-    Under x = cos 2ar the integral of R_n^2 over the well becomes the
-    Jacobi weight integral with exponents ja and jb, so it equals
-    C^2 2^(-2(p1+p2)) / (2a) * h_n^(ja,jb).
-    The callable sums the logs of C, s^p1, (1-s)^p2 and |P| (finite by
-    `jacobi_scaled` where P overflows) before one exp; where P is 0, so is R_n.
+    sqrt(alpha^2 + 8*m*V1)/(2*alpha) and jb the same in V2.  Under
+    x = cos 2ar the integral of (R_n/N_n)^2 over the well becomes the
+    Jacobi weight integral with exponents ja and jb, 2^(-2(p1+p2)) / (2a)
+    * h_n^(ja,jb), so log N_n = (p1+p2) log 2 + (log 2a - log h_n)/2.
+    The callable sums log N_n and the logs of s^p1, (1-s)^p2 and |P|
+    (finite by `jacobi_scaled` where P overflows) before one exp; where P
+    is 0, so is R_n.
 
-    Raises DomainError where rounding could move the norm by more than
+    Raises DomainError where rounding could move N_n by more than
     NORM_RTOL: on the paper's potential, for alpha below about 2.8e-7.
     """
     energy = energy_closed_form(p, n)
@@ -166,22 +167,20 @@ def normalized_wavefunction(p: PtPotential, n: int):
     jb = math.sqrt(a2 + 8.0 * p.m * p.v2) / (2.0 * p.alpha)
     p1 = 0.25 + 0.5 * ja
     p2 = 0.25 + 0.5 * jb
-    log_scale = -(p1 * math.log(p1 / (p1 + p2)) + p2 * math.log(p2 / (p1 + p2)))
     ln2 = math.log(2.0)
-    log_integral = (2.0 * log_scale - 2.0 * (p1 + p2) * ln2
-                    - math.log(2.0 * p.alpha) + jacobi_log_norm(n, ja, jb))
-    # keeps the norm a normal float
-    if not abs(log_integral) < 1400.0:
-        raise NonFinite(f"norm exp({-0.5 * log_integral}) out of floating-point range")
-    # the large terms, the log-gamma ones inside jacobi_log_norm included
-    magnitude = (2.0 * log_scale + (2.0 * (p1 + p2) + ja + jb + 1.0) * ln2
-                 + abs(math.lgamma(n + ja + 1.0)) + abs(math.lgamma(n + jb + 1.0))
-                 + abs(math.lgamma(n + ja + jb + 1.0)))
+    # the large terms of 2 log N_n, the log-gamma ones inside jacobi_log_norm
+    # included, plus (ja + jb + 1) ln 2, which bounds twice the envelope's
+    # -log at its peak, where the callable's log sum cancels it against log N_n
+    try:
+        magnitude = (3.0 * (ja + jb + 1.0) * ln2 + abs(math.lgamma(n + ja + 1.0))
+                     + abs(math.lgamma(n + jb + 1.0)) + abs(math.lgamma(n + ja + jb + 1.0)))
+    except OverflowError:  # lgamma past about 1e305
+        magnitude = math.inf
     error = 2.0 * sys.float_info.epsilon * magnitude
     if not error <= NORM_RTOL:
         raise DomainError(f"rounding may move the norm at alpha={p.alpha} by {error:.1e}, "
                           f"above {NORM_RTOL}")
-    norm = math.exp(-0.5 * log_integral)
+    log_norm = (p1 + p2) * ln2 + 0.5 * (math.log(2.0 * p.alpha) - jacobi_log_norm(n, ja, jb))
     alpha = p.alpha
     r_max = p.r_max
     jacobi = jacobi_scaled(n, ja, jb)
@@ -201,26 +200,25 @@ def normalized_wavefunction(p: PtPotential, n: int):
         poly, exponent = jacobi(1.0 - 2.0 * s)
 
         def log_value(log, log1p):
-            return log_scale + exponent * ln2 + p1 * log(s) + p2 * log1p(-s) + log(abs(poly))
+            return log_norm + exponent * ln2 + p1 * log(s) + p2 * log1p(-s) + log(abs(poly))
 
         if isinstance(r, float):
             try:  # math.log(0.0) raises, and numpy's log(0) = -inf gives 0.0 too
-                value = math.copysign(math.exp(log_value(math.log, math.log1p)), poly) if poly else 0.0
+                return math.copysign(math.exp(log_value(math.log, math.log1p)), poly) if poly else 0.0
             except OverflowError:
                 raise DomainError("wavefunction overflow") from None
-            return norm * value
         with np.errstate(divide="ignore"):
             value = np.copysign(np.exp(log_value(np.log, np.log1p)), poly)
         if not np.isfinite(value).all():
             raise DomainError("wavefunction overflow")
-        value = norm * value
         return value if value.ndim else float(value)
 
-    return BoundState(n=n, energy=energy, eps=eps, norm=norm), wavefunction
+    return BoundState(n=n, energy=energy, eps=eps, log_norm=log_norm), wavefunction
 
 
 def normalize(p: PtPotential, n: int) -> BoundState:
-    """The state of `normalized_wavefunction`: norm makes norm*R_n unit L2."""
+    """The state of `normalized_wavefunction`, with log N_n, the log of the
+    constant that gives R_n unit L2 norm."""
     return normalized_wavefunction(p, n)[0]
 
 

@@ -166,6 +166,15 @@ def test_wavefunction_smallest_alpha():
     assert count_sign_changes([float(row[2]) for row in rows]) == 6
 
 
+def test_wavefunction_of_a_state_whose_norm_overflows():
+    # log N_n is about 2324 at n = 600, yet the state peaks near 0.2
+    code, out, err = run_main(["wavefunction", "--alpha", "0.002", "--n", "600", "--nmax", "600",
+                               "--points", "2000"])
+    assert code == 0, err
+    _, rows = parse_table(out)
+    assert len(rows) == 2000
+
+
 def test_wavefunction_invalid_args():
     assert run_main(["wavefunction", "--n", "9", "--alpha", "1.2"])[0] == 2
     assert run_main(["wavefunction", "--n", "0", "--points", "1"])[0] == 2
@@ -401,16 +410,18 @@ def test_invalid_flags_exit_two():
                  ["verify", "--alpha", "1.2", "--nmax", "0", "--m", "1e300", "--v1", "1e10",
                   "--grid-points", "1000"],
                  # extreme range parameters: 4 alpha^2 underflows, dstebz cannot
-                 # count, 2/h^2 overflows, h * h underflows, the norm overflows
+                 # count, 2/h^2 overflows, h * h underflows, rounding swamps the
+                 # norm (at 1e-305 the log-gamma of its bound overflows)
                  ["verify", "--alpha", "1e-163", "--nmax", "0"],
                  ["wavefunction", "--alpha", "1e-300"],
+                 ["wavefunction", "--alpha", "1e-305"],
                  ["verify", "--alpha", "1e150", "--nmax", "0"],
                  ["verify", "--alpha", "1e155", "--nmax", "0"],
                  ["verify", "--alpha", "1e160", "--nmax", "0"],
                  ["wavefunction", "--alpha", "1e-50"],
-                 # the norm's rounding could exceed its bound
+                 # the norm's rounding could exceed its bound, at small alpha
+                 # and at a V1 far above about 2.8e14
                  ["wavefunction", "--alpha", "1e-12"],
-                 # the norm leaves floating-point range
                  ["wavefunction", "--v1", "1e40"],
                  ["verify", "--alpha", "1e308", "--nmax", "0"],
                  # above a ceiling on the size of a run

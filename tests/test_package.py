@@ -133,7 +133,7 @@ def test_namespace_is_the_exports_and_the_submodules():
 
 
 RECORDS = {
-    "BoundState": lambda: ptnu.BoundState(n=2, energy=1.5, eps=30.0, norm=0.25),
+    "BoundState": lambda: ptnu.BoundState(n=2, energy=1.5, eps=30.0, log_norm=-1.25),
     "RunConfig": lambda: RunConfig(m=12.0, alphas=(0.4,)),
     "RadialOperator": lambda: ptnu.RadialOperator(n_points=3, h=0.5, diag=np.ones(3), offdiag=-4.0),
 }

@@ -33,7 +33,7 @@ from ptnu import (
     to_nu_family,
 )
 from ptnu import poschl_teller as pt
-from ptnu.errors import DomainError, NonFinite, NoSignChange
+from ptnu.errors import DomainError, NoSignChange
 from references import eigenfunction_factors, level_depth_slopes, potential_value
 
 PT_REF = reference_potential(1.2)
@@ -102,7 +102,7 @@ def test_potential_record_is_checked_and_immutable():
 
 def test_family_underflowing_alpha_is_a_domain_error():
     # 4 alpha^2 rounds to 0 below about 1e-162; the closed form still runs
-    # (the state's norm leaves the float range there: see
+    # (the state's N_n is lost to rounding there: see
     # test_normalize_refuses_a_norm_out_of_range)
     p = PtPotential(10.0, 5.0, 3.0, 1e-163)
     assert energy_closed_form(p, 0) == alpha_zero_limit(p)
@@ -277,22 +277,29 @@ def strength_form_energy(p, n):
         return mpmath.mpf(p.alpha) ** 2 / (2 * p.m) * (kappa + lam + 2 * n) ** 2
 
 
-def strength_form_state(p, n, r):
-    """Unit-norm R_n(r) = N (sin ar)^kappa (cos ar)^lambda P_n^(ja,jb)(cos 2ar),
+def strength_form_log_norm(p, n):
+    """log N_n of R_n(r) = N_n (sin ar)^kappa (cos ar)^lambda P_n^(ja,jb)(cos 2ar),
     ja = kappa - 1/2 and jb = lambda - 1/2, at 40 digits.  Under x = cos 2ar
-    the integral of the unnormalized R_n^2 is 2^-(kappa+lambda) / (2a) h_n
-    with h_n the Jacobi weight integral, taken here from its gamma form."""
+    the integral of (R_n/N_n)^2 is 2^-(kappa+lambda) / (2a) h_n with h_n
+    the Jacobi weight integral, taken here from its gamma form."""
     with mpmath.workdps(40):
         kappa, lam = strengths(p)
         ja, jb = kappa - mpmath.mpf(0.5), lam - mpmath.mpf(0.5)
-        theta = mpmath.mpf(p.alpha) * mpmath.mpf(r)
         log_h = ((ja + jb + 1) * mpmath.log(2) + mpmath.loggamma(n + ja + 1)
                  + mpmath.loggamma(n + jb + 1) - mpmath.log(2 * n + ja + jb + 1)
                  - mpmath.loggamma(n + ja + jb + 1) - mpmath.loggamma(n + 1))
-        log_integral = -(kappa + lam) * mpmath.log(2) - mpmath.log(2 * mpmath.mpf(p.alpha)) + log_h
+        return ((kappa + lam) * mpmath.log(2) + mpmath.log(2 * mpmath.mpf(p.alpha)) - log_h) / 2
+
+
+def strength_form_state(p, n, r):
+    """Unit-norm R_n(r) at 40 digits, with N_n from `strength_form_log_norm`."""
+    with mpmath.workdps(40):
+        kappa, lam = strengths(p)
+        theta = mpmath.mpf(p.alpha) * mpmath.mpf(r)
         log_envelope = kappa * mpmath.log(mpmath.sin(theta)) + lam * mpmath.log(mpmath.cos(theta))
-        return (mpmath.exp(log_envelope - log_integral / 2)
-                * mpmath.jacobi(n, ja, jb, mpmath.cos(2 * theta)))
+        return (mpmath.exp(strength_form_log_norm(p, n) + log_envelope)
+                * mpmath.jacobi(n, kappa - mpmath.mpf(0.5), lam - mpmath.mpf(0.5),
+                                mpmath.cos(2 * theta)))
 
 
 def test_small_alpha_levels_match_mpmath():
@@ -419,8 +426,8 @@ def test_nu_derivation_gives_the_closed_form_factors(alpha):
 
 
 def test_ground_state_is_the_power_product():
-    # R_0 = norm * C * s^p1 (1-s)^p2 at the s the callable forms from r; a
-    # ratio to the midpoint sample drops norm and C
+    # R_0 = N_0 s^p1 (1-s)^p2 at the s the callable forms from r; a ratio
+    # to the midpoint sample drops N_0
     p = PT_REF
     p1, p2, _, _ = exact_factors(p)
     r_fn = normalized_wavefunction(p, 0)[1]
@@ -436,14 +443,13 @@ def test_ground_state_is_the_power_product():
 
 def test_first_excited_state_at_the_midpoint():
     # at s = 1/2 the envelope is 2^-(p1+p2) and P_1^(ja,jb)(0) = (ja - jb)/2
-    # from the explicit degree-1 form; C = exp(log_scale) puts the envelope's
-    # peak, at s = p1/(p1+p2), at 1
+    # from the explicit degree-1 form; N_1 comes from the gamma form of h_1
     p = PT_REF
-    state, r_fn = normalized_wavefunction(p, 1)
+    r_fn = normalized_wavefunction(p, 1)[1]
     p1, p2, ja, jb = exact_factors(p)
     with mpmath.workdps(30):
-        log_scale = -(p1 * mpmath.log(p1 / (p1 + p2)) + p2 * mpmath.log(p2 / (p1 + p2)))
-        expected = float(state.norm * mpmath.exp(log_scale) * 2 ** -(p1 + p2) * (ja - jb) / 2)
+        norm = mpmath.exp(strength_form_log_norm(p, 1))
+        expected = float(norm * 2 ** -(p1 + p2) * (ja - jb) / 2)
     assert r_fn(p.r_max / 2) == pytest.approx(expected, rel=1e-13)
     assert r_fn(np.array([p.r_max / 2])) == pytest.approx([expected], rel=1e-13)
 
@@ -533,8 +539,8 @@ def test_normalize_unit_norm():
         p = reference_potential(alpha)
         state, r_fn = normalized_wavefunction(p, n)
         value = norm_by_quadrature(r_fn, p.r_max)
-        if not (state.n == n and 0.0 < state.norm < math.inf and abs(value - 1.0) <= 1e-10):
-            wrong.append((alpha, n, state.norm, value))
+        if not (state.n == n and math.isfinite(state.log_norm) and abs(value - 1.0) <= 1e-10):
+            wrong.append((alpha, n, state.log_norm, value))
     assert wrong == []
 
 
@@ -549,7 +555,21 @@ def test_high_state_stays_finite(alpha):
     assert np.all(np.isfinite(values))
     assert count_sign_changes(values) == n
     assert norm_by_quadrature(r_fn, p.r_max) == pytest.approx(1.0, abs=1e-10)
-    assert 0.0 < state.norm < math.inf
+    assert math.isfinite(state.log_norm)
+
+
+@pytest.mark.parametrize("corner, n", [((M_REF, V1_REF, V2_REF, 0.002), 600),
+                                       ((M_REF, V1_REF, V2_REF, 0.002), 1000),
+                                       ((50.0, 100.0, 100.0, 0.02), 1000)])
+def test_states_whose_norm_leaves_float_range(corner, n):
+    # log N_n exceeds 2000 here, so N_n itself overflows, while each state
+    # peaks below 1: only log N_n is carried, inside the callable's log sum.
+    # Measured norm errors: 7.1e-12, 2.5e-11 and 4.3e-12.
+    p = PtPotential(*corner)
+    r_fn = normalized_wavefunction(p, n)[1]
+    grid = np.linspace(p.r_max * 1e-4, p.r_max * (1.0 - 1e-4), 40_000)
+    assert count_sign_changes(r_fn(grid)) == n
+    assert norm_by_quadrature(r_fn, p.r_max, panels=800) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_normalize_bookkeeping():
@@ -558,7 +578,7 @@ def test_normalize_bookkeeping():
     assert state.eps == 2.0 * p.m * state.energy
     assert state.energy == energy_closed_form(p, 2)
     # a tuple, so it equals the plain tuple of its fields
-    assert state == (2, state.energy, state.eps, state.norm)
+    assert state == (2, state.energy, state.eps, state.log_norm)
 
 
 @pytest.mark.parametrize("v1", [1e10, 1e12, 1e14])
@@ -599,11 +619,12 @@ def test_normalized_wavefunction_derives_once():
 
 @pytest.mark.parametrize("alpha", [1e-50, 1e-100, 1e-163])
 def test_normalize_refuses_a_norm_out_of_range(alpha):
-    # the log of the norm cancels terms of order 1/alpha; its exp must stay finite
+    # N_n leaves the float range here, but log N_n is carried instead; the
+    # terms of order 1/alpha that cancel in it lose every digit first
     p = reference_potential(alpha)
-    with pytest.raises(NonFinite):
+    with pytest.raises(DomainError, match="rounding may move the norm"):
         normalize(p, 2)
-    with pytest.raises(NonFinite):
+    with pytest.raises(DomainError, match="rounding may move the norm"):
         normalized_wavefunction(p, 2)
 
 
@@ -639,7 +660,28 @@ def test_normalize_answers_on_the_wide_box_corners():
     for corner in WIDE_CORNERS:
         for n in (0, 6, 100):
             state = normalize(PtPotential(*corner), n)
-            assert 0.0 < state.norm < math.inf, (corner, n)
+            assert math.isfinite(state.log_norm), (corner, n)
+
+
+# 3x the worst deviation of log N_n from mpmath measured in each alpha band
+# (1.35e-12, 1.22e-11 and 3.50e-9, the last at alpha = 1e-4 and n = 1000);
+# an absolute deviation in log N_n is a relative one in N_n
+LOG_NORM_ATOL = ((0.02, 4.1e-12), (0.002, 3.7e-11), (0.0, 1.05e-8))
+
+
+def test_log_norm_matches_mpmath():
+    cells = [(reference_potential(alpha), n) for alpha in TABLE2_ALPHAS
+             for n in (*range(7), 30, 100, 600, 1000)]
+    cells += [(PtPotential(*corner), n) for corner in WIDE_CORNERS for n in (0, 6, 100, 1000)]
+    wrong = []
+    for p, n in cells:
+        log_norm = normalize(p, n).log_norm
+        with mpmath.workdps(40):
+            deviation = float(abs(mpmath.mpf(log_norm) - strength_form_log_norm(p, n)))
+        bound = next(atol for floor, atol in LOG_NORM_ATOL if p.alpha >= floor)
+        if not deviation <= bound:
+            wrong.append((p, n, deviation))
+    assert wrong == []
 
 
 def test_orthogonality_of_normalized_states():

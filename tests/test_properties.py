@@ -81,7 +81,7 @@ def test_results_are_finite_or_typed_errors(m, v1, v2, alpha, n):
             result = compute(p, n)
         except PtnuError:
             continue
-        values = (result.energy, result.eps, result.norm) if compute is normalize else (result,)
+        values = (result.energy, result.eps, result.log_norm) if compute is normalize else (result,)
         assert all(math.isfinite(v) for v in values)
 
 
