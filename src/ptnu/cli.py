@@ -29,6 +29,8 @@ from .poschl_teller import (
 )
 
 DEFAULT_ALPHAS = (1.2, 0.8, 0.4, 0.2, 0.02, 0.002)
+# Largest relative deviation of the template root from the closed form (ROADMAP aim 2).
+NU_BAND = 1e-9
 ORACLE_BAND = 1e-4
 # Largest oracle error allowed, as a fraction of the gap E_{n+1} - E_n.
 ORACLE_SPACING = 1e-3
@@ -65,7 +67,6 @@ _KEYS = {
     "alpha": ("alphas", _parse_alphas, DEFAULT_ALPHAS, "comma-separated range parameters (fm^-1)", "LIST"),
     "nmax": ("n_max", int, 6, "highest quantum number", None),
     "grid_points": ("grid_points", int, 2000, "finite-difference interior grid size", None),
-    "tol": ("tol", float, 1e-9, "relative band for the closed-form/root-finder comparison", None),
     "format": ("format", str, "csv", None, "{" + ",".join(FORMATS) + "}"),
     "precision": ("precision", int, 8, "decimal digits [1, 17]", None),
 }
@@ -91,8 +92,6 @@ class RunConfig(checked_record("RunConfig", [row[0] for row in _KEYS.values()],
             raise ConfigError(f"nmax must be in [0, {MAX_NMAX}], got {self.n_max}")
         if not 1000 <= self.grid_points <= MAX_POINTS:
             raise ConfigError(f"grid_points must be in [1000, {MAX_POINTS}], got {self.grid_points}")
-        if not 0 < self.tol < math.inf:
-            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
         if not (1 <= self.precision <= 17):
@@ -175,11 +174,11 @@ class Cell(namedtuple("Cell", "n alpha e_closed e_nu e_oracle nu_dev oracle_dev 
     __slots__ = ()
 
 
-def certify(p: PtPotential, count: int, n_points: int, tol: float) -> list[Cell]:
+def certify(p: PtPotential, count: int, n_points: int) -> list[Cell]:
     """Closed form vs template root vs finite-difference oracle per level.
 
     The oracle solves on N and 2N+1 interior points and Richardson-combines
-    the pair; a cell fails when any deviation leaves its band (`tol` for
+    the pair; a cell fails when any deviation leaves its band (NU_BAND for
     the root, ORACLE_BAND for the oracle), or when the oracle misses the
     closed form by more than ORACLE_SPACING of the gap to the next level.
     """
@@ -192,7 +191,7 @@ def certify(p: PtPotential, count: int, n_points: int, tol: float) -> list[Cell]
         e_nu = energy_via_nu(p, n)
         nu_dev = abs(e_nu - e_closed) / abs(e_closed)
         oracle_dev = abs(e_or - e_closed) / abs(e_closed)
-        gates = (("tol", nu_dev > tol), ("ORACLE_BAND", oracle_dev > ORACLE_BAND),
+        gates = (("NU_BAND", nu_dev > NU_BAND), ("ORACLE_BAND", oracle_dev > ORACLE_BAND),
                  ("ORACLE_SPACING", abs(e_or - e_closed) > ORACLE_SPACING * (e_next - e_closed)))
         failed = tuple(name for name, missed in gates if missed)
         cells.append(Cell(n, p.alpha, e_closed, e_nu, e_or, nu_dev, oracle_dev, failed))
@@ -213,7 +212,7 @@ def cmd_verify(config: RunConfig, out=None) -> int:
                           f"{MAX_VERIFY_WORK}, got {work}")
     cells = [cell for alpha in config.alphas
              for cell in certify(PtPotential(config.m, config.v1, config.v2, alpha),
-                                 count, config.grid_points, config.tol)]
+                                 count, config.grid_points)]
     rows = [[str(c.n), str(c.alpha)]
             + [_fmt(e, config.precision) for e in (c.e_closed, c.e_nu, c.e_oracle)]
             + [_fmt_dev(c.nu_dev, 2), _fmt_dev(c.oracle_dev, 2)] for c in cells]

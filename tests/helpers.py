@@ -55,22 +55,27 @@ def matches_printed(value: float, printed: str) -> bool:
     return abs(int(mine.replace(".", "")) - int(printed.replace(".", ""))) == 1
 
 
-def norm_by_quadrature(r_fn, r_max: float, panels: int = 64) -> float:
-    """Integral of r_fn^2 over the well (0, r_max), independent of any
-    closed-form norm.
-
-    A uniform scan locates the window where |r_fn| exceeds 1e-10 of its
-    peak; `panels` uniform Gauss-Legendre panels then cover that window
-    widened by one scan step on each side.  Outside it the state is
-    negligible, and the panels stay fine where the state lives even at
-    small alpha; states with hundreds of nodes need more than the 64.
-    """
+def state_window(r_fn, r_max: float) -> tuple[float, float]:
+    """(lo, hi) of the part of the well (0, r_max) where the state r_fn
+    lives: a uniform scan locates where |r_fn| exceeds 1e-10 of its peak,
+    and the window widens that by one scan step on each side.  Outside it
+    the state is negligible."""
     edges = np.linspace(0.0, r_max, 20_001)
     values = np.abs(r_fn(edges[1:-1]))
     inside = np.flatnonzero(values >= 1e-10 * values.max())
     # sample k sits at edges[k + 1]
-    lo, hi = edges[inside[0]], edges[inside[-1] + 2]
-    return integrate(lambda r: r_fn(r) ** 2, lo, hi, panels)[0]
+    return edges[inside[0]], edges[inside[-1] + 2]
+
+
+def norm_by_quadrature(r_fn, r_max: float, panels: int = 64) -> float:
+    """Integral of r_fn^2 over the well (0, r_max), independent of any
+    closed-form norm.
+
+    `panels` uniform Gauss-Legendre panels cover `state_window`, so they
+    stay fine where the state lives even at small alpha; states with
+    hundreds of nodes need more than the 64.
+    """
+    return integrate(lambda r: r_fn(r) ** 2, *state_window(r_fn, r_max), panels)[0]
 
 
 def eigenvector(op, eigenvalue: float) -> np.ndarray:

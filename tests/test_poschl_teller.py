@@ -18,6 +18,7 @@ from helpers import (
     count_sign_changes,
     norm_by_quadrature,
     reference_potential,
+    state_window,
 )
 from ptnu import (
     PtPotential,
@@ -695,7 +696,8 @@ def test_orthogonality_of_normalized_states():
                 assert abs(overlap) <= 1e-6, (alpha, m, n)
 
 
-# 3x the worst deviation measured, 2.43e-13 at n = 100, alpha = 1.2
+# 3x the worst deviation measured on the default potential, 2.43e-13 at
+# n = 100, alpha = 1.2; the wide-box sample's worst is 2.63e-13
 HELLMANN_FEYNMAN_RTOL = 7.3e-13
 
 
@@ -720,6 +722,48 @@ def test_states_give_the_level_slopes_of_the_closed_form():
             deviation = max(abs(got / want - 1.0) for got, want in zip(slopes, level_depth_slopes(p, n)))
             if not deviation <= HELLMANN_FEYNMAN_RTOL:
                 wrong.append((alpha, n, deviation))
+    assert wrong == []
+
+
+def sin_expectation(p, n):
+    """<R_n| sin^-2(alpha r) |R_n> / <R_n|R_n> by a 60-node Gauss-Legendre
+    rule on 400 equal panels over `helpers.state_window`, with the first
+    panel split into 41 that halve in width toward its left end."""
+    _, r_fn = normalized_wavefunction(p, n)
+    lo, hi = state_window(r_fn, p.r_max)
+    equal = np.linspace(lo, hi, 401)
+    edges = np.concatenate([[lo], lo + (equal[1] - lo) * 0.5 ** np.arange(40, 0, -1), equal[1:]])
+    base_nodes, base_weights = np.polynomial.legendre.leggauss(60)
+    half = 0.5 * np.diff(edges)[:, None]
+    r = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * base_nodes).ravel()
+    density = (half * base_weights).ravel() * r_fn(r) ** 2
+    return (density / np.sin(p.alpha * r) ** 2).sum() / density.sum()
+
+
+def test_states_give_the_level_slopes_on_the_wide_box():
+    # Hellmann-Feynman on the 16 WIDE_CORNERS at n = 0, 6 and 30, and on 40
+    # seeded states of the box m in [0.1, 50], V1, V2 log-uniform in
+    # [0.01, 100], alpha log-uniform in [1e-4, 3.2], n <= 30.  At ja near
+    # 1/2 the density over sin^2 goes as r^(2 ja - 1) at r = 0: equal panels
+    # alone missed by up to 8.3e-7, the graded ones by 8.9e-14.  Near r_max
+    # the state forms cos^2 as 1 - sin^2 and loses its digits there, so
+    # dE_n/dV2 is taken as dE_n/dV1 of the mirror state, V1 and V2 swapped,
+    # which the level's symmetry in V1 and V2 makes equal.
+    rng = random.Random(12)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    states = [(PtPotential(*corner), n) for corner in WIDE_CORNERS for n in (0, 6, 30)]
+    states += [(PtPotential(rng.uniform(0.1, 50.0), log_uniform(0.01, 100.0),
+                            log_uniform(0.01, 100.0), log_uniform(1e-4, 3.2)), rng.randint(0, 30))
+               for _ in range(40)]
+    wrong = []
+    for p, n in states:
+        slopes = (sin_expectation(p, n), sin_expectation(PtPotential(p.m, p.v2, p.v1, p.alpha), n))
+        deviation = max(abs(got / want - 1.0) for got, want in zip(slopes, level_depth_slopes(p, n)))
+        if not deviation <= HELLMANN_FEYNMAN_RTOL:
+            wrong.append((p, n, deviation))
     assert wrong == []
 
 

@@ -143,10 +143,10 @@ EXTREMES = [HUGE, "-" + HUGE, "1e308", "-1e308", "5e-324", "inf", "-inf", "nan",
 # small valid values, and a small base run that drawn flags override, so
 # that no example starts long work
 SMALL = {"m": ["10", "0.5"], "v1": ["5", "20"], "v2": ["3"], "alpha": ["1.2", "0.002,0.4"],
-         "nmax": ["0", "2"], "grid-points": ["1000"], "tol": ["1e-9", "1e-17"],
-         "format": ["csv", "json"], "precision": ["1", "17"], "n": ["0", "1"], "points": ["3"]}
+         "nmax": ["0", "2"], "grid-points": ["1000"], "format": ["csv", "json"],
+         "precision": ["1", "17"], "n": ["0", "1"], "points": ["3"]}
 BASE = ["--alpha=1.2", "--nmax=1", "--grid-points=1000"]
-COMMON = ["m", "v1", "v2", "alpha", "nmax", "grid-points", "tol", "format", "precision", "config"]
+COMMON = ["m", "v1", "v2", "alpha", "nmax", "grid-points", "format", "precision", "config"]
 
 
 @pytest.fixture(scope="module")
