@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -114,26 +115,29 @@ def _fmt_dev(value: float, precision: int) -> str:
 
 
 def _emit(out, header: list[str], rows: list[list[str]], fmt: str) -> None:
-    """Write one rectangular table of pre-formatted number strings.
+    """Write one rectangular table of pre-formatted number strings to out
+    (stdout when None) and flush it, so that a reader who left early
+    raises inside `main`.
 
     Every cell is an integer, a validated finite float or a fixed or
     scientific rendering of one, so json carries each as a raw number and
     every format holds byte-identical values.
     """
+    out = out or sys.stdout
     if fmt == "json":
         lines = ["  {" + ", ".join(f'"{key}": {cell}' for key, cell in zip(header, row)) + "}"
                  for row in rows]
         out.write("[\n" + ",\n".join(lines) + "\n]\n")
-        return
-    sep = "," if fmt == "csv" else "\t"
-    out.write(sep.join(header) + "\n")
-    for row in rows:
-        out.write(sep.join(row) + "\n")
+    else:
+        sep = "," if fmt == "csv" else "\t"
+        out.write(sep.join(header) + "\n")
+        for row in rows:
+            out.write(sep.join(row) + "\n")
+    out.flush()
 
 
 def cmd_table2(config: RunConfig, out=None) -> int:
     """Spectrum grid: one row per n, one column per alpha."""
-    out = out or sys.stdout
     table = spectrum_table(config.m, config.v1, config.v2, list(config.alphas), config.n_max)
     if config.format == "json":
         rows = [[str(n), str(alpha), _fmt(energy, config.precision)]
@@ -150,7 +154,6 @@ def cmd_table2(config: RunConfig, out=None) -> int:
 def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
     """Sample the normalized state n of the first configured alpha:
     columns r, R/r (the radial factor of the full wavefunction), and R."""
-    out = out or sys.stdout
     if not (0 <= n <= config.n_max):
         raise ConfigError(f"need 0 <= n <= nmax={config.n_max}, got n={n}")
     if not 2 <= points <= MAX_POINTS:
@@ -201,7 +204,6 @@ def certify(p: PtPotential, count: int, n_points: int) -> list[Cell]:
 def cmd_verify(config: RunConfig, out=None) -> int:
     """`certify` every configured alpha; exit 1 when any cell fails, with
     one line on stderr per failed cell."""
-    out = out or sys.stdout
     count = config.n_max + 1
     if count > config.grid_points:
         raise ConfigError(f"verify needs nmax + 1 <= grid_points, got nmax={config.n_max}, "
@@ -226,7 +228,6 @@ def cmd_verify(config: RunConfig, out=None) -> int:
 
 def cmd_limit(config: RunConfig, out=None) -> int:
     """Ground-state energy against the small-range limit for each alpha."""
-    out = out or sys.stdout
     limit = alpha_zero_limit(PtPotential(config.m, config.v1, config.v2, config.alphas[0]))
     rows = []
     for alpha in config.alphas:
@@ -320,6 +321,10 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, PtnuError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the rest goes to devnull, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

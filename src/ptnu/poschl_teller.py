@@ -127,12 +127,6 @@ def energy_via_nu(p: PtPotential, n: int) -> float:
     return solve_energy(to_nu_family(p), n, max(4.0 * p.alpha * p.alpha, 1.0)) / (2.0 * p.m)
 
 
-# sin^2(ar) rounds to 0 within about 1e-154/a of r = 0 and to 1 within
-# about 1e-8/a of r_max.  Holding s strictly inside (0, 1) there changes
-# only values below about 1e-8 of the envelope peak (p1, p2 > 1/2).
-_S_LO, _S_HI = sys.float_info.min, 1.0 - sys.float_info.epsilon / 2
-
-
 # Largest relative error allowed in N_n.  log N_n sums terms of order
 # 1/alpha that cancel; 4 ulp of their summed magnitude bounds the rounding
 # (at most 1.2 ulp against a 60-digit reference) and moves N_n by half
@@ -147,15 +141,14 @@ def normalized_wavefunction(p: PtPotential, n: int):
     (np.float64 included) with `math` and gives a float, anything else
     with numpy.
 
-    R_n(r) = N_n (sin ar)^(2*p1) (cos ar)^(2*p2) P_n^(ja,jb)(cos 2ar): the
-    paper's exponents k1 = 2*p1 and k2 = 2*p2, with ja = k1 - 1/2 =
-    sqrt(alpha^2 + 8*m*V1)/(2*alpha) and jb the same in V2.  Under
-    x = cos 2ar the integral of (R_n/N_n)^2 over the well becomes the
-    Jacobi weight integral with exponents ja and jb, 2^(-2(p1+p2)) / (2a)
-    * h_n^(ja,jb), so log N_n = (p1+p2) log 2 + (log 2a - log h_n)/2.
-    The callable sums log N_n and the logs of s^p1, (1-s)^p2 and |P|
-    (finite by `jacobi_scaled` where P overflows) before one exp; where P
-    is 0, so is R_n.
+    R_n(r) = N_n (sin ar)^k1 (cos ar)^k2 P_n^(ja,jb)(cos 2ar): the paper's
+    exponents, with ja = k1 - 1/2 = sqrt(alpha^2 + 8*m*V1)/(2*alpha) and
+    jb the same in V2.  Under x = cos 2ar the integral of (R_n/N_n)^2 over
+    the well becomes the Jacobi weight integral with exponents ja and jb,
+    2^(-(k1+k2)) / (2a) * h_n^(ja,jb), so log N_n = (k1+k2)/2 log 2 +
+    (log 2a - log h_n)/2.  The callable sums log N_n and the logs of
+    (sin ar)^k1, |cos ar|^k2 and |P| (finite by `jacobi_scaled` where P
+    overflows) before one exp; where sin ar or P is 0, so is R_n.
 
     Raises DomainError where rounding could move N_n by more than
     NORM_RTOL: on the paper's potential, for alpha below about 2.8e-7.
@@ -165,8 +158,8 @@ def normalized_wavefunction(p: PtPotential, n: int):
     a2 = p.alpha * p.alpha
     ja = math.sqrt(a2 + 8.0 * p.m * p.v1) / (2.0 * p.alpha)
     jb = math.sqrt(a2 + 8.0 * p.m * p.v2) / (2.0 * p.alpha)
-    p1 = 0.25 + 0.5 * ja
-    p2 = 0.25 + 0.5 * jb
+    k1 = 0.5 + ja
+    k2 = 0.5 + jb
     ln2 = math.log(2.0)
     # the large terms of 2 log N_n, the log-gamma ones inside jacobi_log_norm
     # included, plus (ja + jb + 1) ln 2, which bounds twice the envelope's
@@ -180,7 +173,7 @@ def normalized_wavefunction(p: PtPotential, n: int):
     if not error <= NORM_RTOL:
         raise DomainError(f"rounding may move the norm at alpha={p.alpha} by {error:.1e}, "
                           f"above {NORM_RTOL}")
-    log_norm = (p1 + p2) * ln2 + 0.5 * (math.log(2.0 * p.alpha) - jacobi_log_norm(n, ja, jb))
+    log_norm = 0.5 * (k1 + k2) * ln2 + 0.5 * (math.log(2.0 * p.alpha) - jacobi_log_norm(n, ja, jb))
     alpha = p.alpha
     r_max = p.r_max
     jacobi = jacobi_scaled(n, ja, jb)
@@ -189,26 +182,26 @@ def normalized_wavefunction(p: PtPotential, n: int):
         if isinstance(r, float):
             if not 0.0 < r < r_max:
                 raise DomainError(f"r outside the well (0, {r_max})")
-            s = min(max(math.sin(alpha * r) ** 2, _S_LO), _S_HI)
+            sin, cos = math.sin(x := alpha * r), math.cos(x)
         else:
             import numpy as np
 
             r = np.asarray(r, dtype=float)
             if not ((r > 0.0) & (r < r_max)).all():
                 raise DomainError(f"r outside the well (0, {r_max})")
-            s = np.minimum(np.maximum(np.sin(alpha * r) ** 2, _S_LO), _S_HI)
-        poly, exponent = jacobi(1.0 - 2.0 * s)
+            sin, cos = np.sin(x := alpha * r), np.cos(x)
+        poly, exponent = jacobi(1.0 - 2.0 * sin ** 2)
 
-        def log_value(log, log1p):
-            return log_norm + exponent * ln2 + p1 * log(s) + p2 * log1p(-s) + log(abs(poly))
+        def log_value(log):
+            return log_norm + exponent * ln2 + k1 * log(sin) + k2 * log(abs(cos)) + log(abs(poly))
 
         if isinstance(r, float):
             try:  # math.log(0.0) raises, and numpy's log(0) = -inf gives 0.0 too
-                return math.copysign(math.exp(log_value(math.log, math.log1p)), poly) if poly else 0.0
+                return math.copysign(math.exp(log_value(math.log)), poly) if poly and sin else 0.0
             except OverflowError:
                 raise DomainError("wavefunction overflow") from None
         with np.errstate(divide="ignore"):
-            value = np.copysign(np.exp(log_value(np.log, np.log1p)), poly)
+            value = np.copysign(np.exp(log_value(np.log)), poly)
         if not np.isfinite(value).all():
             raise DomainError("wavefunction overflow")
         return value if value.ndim else float(value)

@@ -661,3 +661,21 @@ def test_module_entry_point_exit_codes():
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert "precision" in bad.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_leaves_early_gets_status_141(unbuffered):
+    # 100,000 rows overfill the pipe, so the command is still writing when
+    # the reader closes it after one line, as `| head -1` does; this ended
+    # in a BrokenPipeError traceback and exit 1, the failed-verification
+    # status.  Unbuffered, the error comes from a write, else from a flush.
+    env = dict(CHILD_ENV)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen([sys.executable, "-m", "ptnu", "wavefunction", "--points", "100000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.readline() == b"r,R_over_r,R\n"
+        child.stdout.close()
+        _, err = child.communicate(timeout=30)
+    assert (child.returncode, err) == (141, b"")

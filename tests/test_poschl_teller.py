@@ -427,17 +427,19 @@ def test_nu_derivation_gives_the_closed_form_factors(alpha):
 
 
 def test_ground_state_is_the_power_product():
-    # R_0 = N_0 s^p1 (1-s)^p2 at the s the callable forms from r; a ratio
-    # to the midpoint sample drops N_0
+    # R_0 = N_0 (sin ar)^k1 (cos ar)^k2 at the float sin and cos each path
+    # takes of ar; a ratio to the midpoint sample drops N_0
     p = PT_REF
     p1, p2, _, _ = exact_factors(p)
     r_fn = normalized_wavefunction(p, 0)[1]
     rng = np.random.default_rng(9)
     r = np.append(np.arcsin(np.sqrt(rng.uniform(1e-6, 1.0 - 1e-6, 100))) / p.alpha, p.r_max / 2)
-    for values, s in (([r_fn(x) for x in r.tolist()], [math.sin(p.alpha * x) ** 2 for x in r]),
-                      (r_fn(r), np.sin(p.alpha * r) ** 2)):
+    for values, sin, cos in (([r_fn(x) for x in r.tolist()], [math.sin(p.alpha * x) for x in r],
+                              [math.cos(p.alpha * x) for x in r]),
+                             (r_fn(r), np.sin(p.alpha * r), np.cos(p.alpha * r))):
         with mpmath.workdps(30):
-            envelope = [mpmath.mpf(x) ** p1 * (1 - mpmath.mpf(x)) ** p2 for x in s]
+            envelope = [mpmath.mpf(x) ** (2 * p1) * abs(mpmath.mpf(y)) ** (2 * p2)
+                        for x, y in zip(sin, cos)]
             expected = [float(e / envelope[-1]) for e in envelope]
         np.testing.assert_allclose(np.divide(values, values[-1]), expected, rtol=1e-14, atol=0.0)
 
@@ -463,6 +465,36 @@ def test_wavefunction_is_exactly_zero_at_a_zero_of_the_polynomial():
     value = r_fn(r)
     assert type(value) is float and value == 0.0
     assert r_fn(np.array([r])).tolist() == [0.0]
+
+
+def test_wavefunction_is_zero_where_sin_underflows():
+    # alpha r rounds to 0 at the smallest subnormal r, so sin(alpha r) is 0;
+    # math.log(0.0) would raise, and both paths return 0.0
+    r_fn = normalized_wavefunction(reference_potential(0.5), 0)[1]
+    value = r_fn(5e-324)
+    assert type(value) is float and value == 0.0
+    assert r_fn(np.array([5e-324])).tolist() == [0.0]
+
+
+# 3x the gap measured at each distance d from the well's ends; a state that
+# formed cos^2 as 1 - sin^2 missed by 1.1e-10, 1.5e-6, 4.1e-2 and 3.2e1
+MIRROR_GAPS = {1e-4: 5.8e-13, 1e-6: 6.5e-11, 1e-8: 4.2e-9, 1e-10: 8.2e-7}
+
+
+def test_state_near_r_max_matches_its_mirror_near_zero():
+    # swapping V1 and V2 maps R_n(r) to (-1)^n R_n(r_max - r), so the sample
+    # at r_max - d must match the mirror state's at d, where it takes the same
+    # factor through sin(alpha d).  At jb near 1/2 the factor (cos ar)^k2 is
+    # about alpha d there; what is left is the rounding of r_max - d and of
+    # alpha r, about 1e-16 / (alpha d).
+    p = PtPotential(0.1, 100.0, 0.01, 3.2)
+    n = 30
+    r_fn = normalized_wavefunction(p, n)[1]
+    mirror = normalized_wavefunction(PtPotential(p.m, p.v2, p.v1, p.alpha), n)[1]
+    for d, bound in MIRROR_GAPS.items():
+        want = (-1) ** n * mirror(d)
+        for got in (r_fn(p.r_max - d), r_fn(np.array([p.r_max - d]))[0]):
+            assert abs(got / want - 1.0) <= bound, (d, got, want)
 
 
 def test_wavefunction_vanishes_at_both_ends():
@@ -587,17 +619,17 @@ def test_ground_state_keeps_its_digits_when_v1_dwarfs_v2(v1):
     # p1 grows as sqrt(v1) while p2 stays near 2.3, so the envelope peaks
     # within about 1/p1 of s = 1; a p2 that carries rounding of order p1
     # (as one formed by cancelling sqrt(a8) did) misses these ratios by
-    # 2.3e-11 to 3.8e-10.  Each sample is compared at the s the callable forms.
+    # 2.3e-11 to 3.8e-10.  Each sample is compared at the float sin and cos
+    # the callable takes of alpha r.
     p = PtPotential(M_REF, v1, V2_REF, 1.2)
     r_fn = normalized_wavefunction(p, 0)[1]
     with mpmath.workdps(40):
         k1, k2 = strengths(p)
-        p1, p2 = k1 / 2, k2 / 2
-        u_peak = p2 / (p1 + p2)
+        u_peak = k2 / (k1 + k2)
         u = [u_peak * t for t in (1, 0.1, 0.3, 0.6, 0.9, 1.2, 2, 3, 5, 8, 10)]
         r = [float(mpmath.asin(mpmath.sqrt(1 - x))) / p.alpha for x in u]
-        s = [mpmath.mpf(math.sin(p.alpha * x) ** 2) for x in r]
-        envelope = [x ** p1 * (1 - x) ** p2 for x in s]
+        envelope = [mpmath.mpf(math.sin(p.alpha * x)) ** k1 * abs(mpmath.mpf(math.cos(p.alpha * x))) ** k2
+                    for x in r]
         expected = [float(e / envelope[0]) for e in envelope]
     values = [r_fn(x) for x in r]
     np.testing.assert_allclose(np.divide(values, values[0]), expected, rtol=1e-13, atol=0.0)
@@ -697,7 +729,7 @@ def test_orthogonality_of_normalized_states():
 
 
 # 3x the worst deviation measured on the default potential, 2.43e-13 at
-# n = 100, alpha = 1.2; the wide-box sample's worst is 2.63e-13
+# n = 100, alpha = 1.2; the wide-box sample's worst is 2.93e-13
 HELLMANN_FEYNMAN_RTOL = 7.3e-13
 
 
@@ -725,19 +757,24 @@ def test_states_give_the_level_slopes_of_the_closed_form():
     assert wrong == []
 
 
-def sin_expectation(p, n):
-    """<R_n| sin^-2(alpha r) |R_n> / <R_n|R_n> by a 60-node Gauss-Legendre
-    rule on 400 equal panels over `helpers.state_window`, with the first
-    panel split into 41 that halve in width toward its left end."""
+def depth_expectations(p, n):
+    """(<R_n| sin^-2(alpha r) |R_n>, <R_n| cos^-2(alpha r) |R_n>) / <R_n|R_n>
+    by a 60-node Gauss-Legendre rule on 400 equal panels over
+    `helpers.state_window`, with the first panel split into 41 that halve
+    in width toward its left end and the last into 31 toward its right
+    end; 40 halvings there would round nodes onto r_max."""
     _, r_fn = normalized_wavefunction(p, n)
     lo, hi = state_window(r_fn, p.r_max)
     equal = np.linspace(lo, hi, 401)
-    edges = np.concatenate([[lo], lo + (equal[1] - lo) * 0.5 ** np.arange(40, 0, -1), equal[1:]])
+    edges = np.concatenate([[lo], lo + (equal[1] - lo) * 0.5 ** np.arange(40, 0, -1), equal[1:-1],
+                            hi - (hi - equal[-2]) * 0.5 ** np.arange(1, 31), [hi]])
     base_nodes, base_weights = np.polynomial.legendre.leggauss(60)
     half = 0.5 * np.diff(edges)[:, None]
     r = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * base_nodes).ravel()
     density = (half * base_weights).ravel() * r_fn(r) ** 2
-    return (density / np.sin(p.alpha * r) ** 2).sum() / density.sum()
+    norm = density.sum()
+    return ((density / np.sin(p.alpha * r) ** 2).sum() / norm,
+            (density / np.cos(p.alpha * r) ** 2).sum() / norm)
 
 
 def test_states_give_the_level_slopes_on_the_wide_box():
@@ -745,10 +782,9 @@ def test_states_give_the_level_slopes_on_the_wide_box():
     # seeded states of the box m in [0.1, 50], V1, V2 log-uniform in
     # [0.01, 100], alpha log-uniform in [1e-4, 3.2], n <= 30.  At ja near
     # 1/2 the density over sin^2 goes as r^(2 ja - 1) at r = 0: equal panels
-    # alone missed by up to 8.3e-7, the graded ones by 8.9e-14.  Near r_max
-    # the state forms cos^2 as 1 - sin^2 and loses its digits there, so
-    # dE_n/dV2 is taken as dE_n/dV1 of the mirror state, V1 and V2 swapped,
-    # which the level's symmetry in V1 and V2 makes equal.
+    # alone missed by up to 8.3e-7, the graded ones by 8.9e-14.  At jb near
+    # 1/2 the density over cos^2 does the same at r_max, where a state that
+    # formed cos^2 as 1 - sin^2 missed by up to 9.5 on 15 of these states.
     rng = random.Random(12)
 
     def log_uniform(lo, hi):
@@ -760,7 +796,7 @@ def test_states_give_the_level_slopes_on_the_wide_box():
                for _ in range(40)]
     wrong = []
     for p, n in states:
-        slopes = (sin_expectation(p, n), sin_expectation(PtPotential(p.m, p.v2, p.v1, p.alpha), n))
+        slopes = depth_expectations(p, n)
         deviation = max(abs(got / want - 1.0) for got, want in zip(slopes, level_depth_slopes(p, n)))
         if not deviation <= HELLMANN_FEYNMAN_RTOL:
             wrong.append((p, n, deviation))
