@@ -11,6 +11,7 @@ and scipy itself is never imported.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -114,16 +115,29 @@ def _fmt_dev(value: float, precision: int) -> str:
     return f"{_finite(value):.{precision}e}"
 
 
-def _emit(out, header: list[str], rows: list[list[str]], fmt: str) -> None:
-    """Write one rectangular table of pre-formatted number strings to out
-    (stdout when None) and flush it, so that a reader who left early
-    raises inside `main`.
+def _note(line: str) -> None:
+    """One diagnostic line on stderr, dropped when stderr is closed or
+    refuses it: `print(file=None)` would write it to stdout."""
+    try:
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
+def _emit(header: list[str], rows: list[list[str]], fmt: str) -> None:
+    """Write one rectangular table of pre-formatted number strings to
+    stdout and flush it, so that a reader who left early or a full or
+    closed stdout raises an OSError inside `main`.  Python sets stdout to
+    None when fd 1 is closed at start; that raises EBADF here.
 
     Every cell is an integer, a validated finite float or a fixed or
     scientific rendering of one, so json carries each as a raw number and
     every format holds byte-identical values.
     """
-    out = out or sys.stdout
+    out = sys.stdout
+    if out is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     if fmt == "json":
         lines = ["  {" + ", ".join(f'"{key}": {cell}' for key, cell in zip(header, row)) + "}"
                  for row in rows]
@@ -136,22 +150,22 @@ def _emit(out, header: list[str], rows: list[list[str]], fmt: str) -> None:
     out.flush()
 
 
-def cmd_table2(config: RunConfig, out=None) -> int:
+def cmd_table2(config: RunConfig) -> int:
     """Spectrum grid: one row per n, one column per alpha."""
     table = spectrum_table(config.m, config.v1, config.v2, list(config.alphas), config.n_max)
     if config.format == "json":
         rows = [[str(n), str(alpha), _fmt(energy, config.precision)]
                 for n, row in enumerate(table)
                 for alpha, energy in zip(config.alphas, row)]
-        _emit(out, ["n", "alpha", "energy"], rows, "json")
+        _emit(["n", "alpha", "energy"], rows, "json")
         return 0
     header = ["n"] + [f"alpha={a}" for a in config.alphas]
     rows = [[str(n)] + [_fmt(e, config.precision) for e in row] for n, row in enumerate(table)]
-    _emit(out, header, rows, config.format)
+    _emit(header, rows, config.format)
     return 0
 
 
-def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
+def cmd_wavefunction(config: RunConfig, n: int, points: int) -> int:
     """Sample the normalized state n of the first configured alpha:
     columns r, R/r (the radial factor of the full wavefunction), and R."""
     if not (0 <= n <= config.n_max):
@@ -165,7 +179,7 @@ def cmd_wavefunction(config: RunConfig, n: int, points: int, out=None) -> int:
     r = [p.r_max * float(i) / (points + 1) for i in range(1, points + 1)]
     rows = [[_fmt(x, config.precision), _fmt(y / x, config.precision), _fmt(y, config.precision)]
             for x, y in zip(r, map(r_fn, r))]
-    _emit(out, ["r", "R_over_r", "R"], rows, config.format)
+    _emit(["r", "R_over_r", "R"], rows, config.format)
     return 0
 
 
@@ -201,7 +215,7 @@ def certify(p: PtPotential, count: int, n_points: int) -> list[Cell]:
     return cells
 
 
-def cmd_verify(config: RunConfig, out=None) -> int:
+def cmd_verify(config: RunConfig) -> int:
     """`certify` every configured alpha; exit 1 when any cell fails, with
     one line on stderr per failed cell."""
     count = config.n_max + 1
@@ -218,15 +232,15 @@ def cmd_verify(config: RunConfig, out=None) -> int:
     rows = [[str(c.n), str(c.alpha)]
             + [_fmt(e, config.precision) for e in (c.e_closed, c.e_nu, c.e_oracle)]
             + [_fmt_dev(c.nu_dev, 2), _fmt_dev(c.oracle_dev, 2)] for c in cells]
-    _emit(out, ["n", "alpha", "e_closed", "e_nu", "e_oracle", "nu_dev", "oracle_dev"], rows,
+    _emit(["n", "alpha", "e_closed", "e_nu", "e_oracle", "nu_dev", "oracle_dev"], rows,
           config.format)
     failed = [c for c in cells if c.failed]
     for c in failed:
-        print(f"verify: n={c.n} alpha={c.alpha} fails {', '.join(c.failed)}", file=sys.stderr)
+        _note(f"verify: n={c.n} alpha={c.alpha} fails {', '.join(c.failed)}")
     return 1 if failed else 0
 
 
-def cmd_limit(config: RunConfig, out=None) -> int:
+def cmd_limit(config: RunConfig) -> int:
     """Ground-state energy against the small-range limit for each alpha."""
     limit = alpha_zero_limit(PtPotential(config.m, config.v1, config.v2, config.alphas[0]))
     rows = []
@@ -235,7 +249,7 @@ def cmd_limit(config: RunConfig, out=None) -> int:
         energy = energy_closed_form(p, 0)
         rows.append([str(alpha), _fmt(energy, config.precision),
                      _fmt_dev(abs(energy - limit), 6), _fmt(limit, config.precision)])
-    _emit(out, ["alpha", "energy", "abs_deviation", "limit"], rows, config.format)
+    _emit(["alpha", "energy", "abs_deviation", "limit"], rows, config.format)
     return 0
 
 
@@ -319,12 +333,17 @@ def main(argv=None) -> int:
             return cmd_verify(config)
         return cmd_limit(config)
     except (argparse.ArgumentError, PtnuError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2
-    except BrokenPipeError:
-        # the rest goes to devnull, so that the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+    except OSError as exc:
+        # stdout failed: the rest goes to devnull, so that the flush at exit
+        # cannot raise again.  A reader who left early gets 141, as on
+        # SIGPIPE; a closed or full stdout gets EX_IOERR (sysexits.h)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        _note(f"error: cannot write output: {exc}")
+        return 74
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ import itertools
 
 import numpy as np
 
-from ptnu import PtPotential, integrate
+from ptnu import PtPotential
+from ptnu.special_functions import integrate
 
 # Bound-state levels E_n (fm^-1) for m=10, V1=5, V2=3 as published, one
 # column string per alpha.  The n=3, alpha=0.8 entry is printed with only

@@ -84,7 +84,7 @@ def level_depth_slopes(p, n: int) -> tuple[float, float]:
 
 
 def tau_prime(d) -> float:
-    """Slope of the linear tau polynomial of the `ptnu.NuDerived` d.
+    """Slope of the linear tau polynomial of the `ptnu.nu.NuDerived` d.
 
     The method requires a negative slope for a physical solution family.
     On the principal branch tau' = -2*a3 - 2*(sqrt(a9) + a3*sqrt(a8)) with
@@ -95,6 +95,6 @@ def tau_prime(d) -> float:
 
 def eigenfunction_factors(d) -> tuple[float, float, float, float]:
     """(p1, p2, ja, jb) of the NU solution s^p1 (1 - a3*s)^p2
-    P_n^(ja, jb)(1 - 2*a3*s), read off the `ptnu.NuDerived` d (a3 > 0)."""
+    P_n^(ja, jb)(1 - 2*a3*s), read off the `ptnu.nu.NuDerived` d (a3 > 0)."""
     a3 = d.coeffs.a3
     return d.a12, -d.a12 - d.a13 / a3, d.a10 - 1.0, (d.a11 - d.a10 - 1.0) / a3

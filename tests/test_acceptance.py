@@ -19,19 +19,18 @@ from helpers import (
 )
 from ptnu import (
     PtPotential,
-    derive_constants,
     discretize,
     energy_closed_form,
     energy_via_nu,
-    integrate,
-    jacobi,
     lowest_eigenvalues,
     normalized_wavefunction,
-    ode_residual,
     richardson,
     spectrum_table,
     to_nu_family,
 )
+from ptnu.nu import derive_constants
+from ptnu.oracle import ode_residual
+from ptnu.special_functions import integrate, jacobi
 from references import jacobi_sum, tau_prime
 
 ORACLE_ALPHAS = (1.2, 0.8, 0.4)

@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import io
 import json
 import math
@@ -12,8 +14,7 @@ import pytest
 from helpers import TABLE2_ALPHAS, count_sign_changes, reference_potential
 from ptnu import PtPotential, energy_closed_form, energy_via_nu
 import ptnu
-from ptnu.cli import (RunConfig, _build_parser, certify, cmd_limit, cmd_table2, cmd_verify,
-                      cmd_wavefunction, main)
+from ptnu.cli import RunConfig, _build_parser, certify, cmd_verify, main
 from ptnu.errors import ConfigError
 
 # the directory that holds this ptnu; child interpreters import it from there
@@ -328,7 +329,8 @@ def test_verify_prints_the_records_and_fails_when_one_fails(config, engine_error
     if engine_error:
         assert {c.failed for c in cells} == {("NU_BAND",)}
     out = io.StringIO()
-    assert cmd_verify(config, out) == code
+    with contextlib.redirect_stdout(out):
+        assert cmd_verify(config) == code
     header, rows = parse_table(out.getvalue())
     assert header == ["n", "alpha", "e_closed", "e_nu", "e_oracle", "nu_dev", "oracle_dev"]
     assert [(int(row[0]), float(row[1])) for row in rows] == [(c.n, c.alpha) for c in cells]
@@ -546,18 +548,6 @@ def test_run_config_keeps_its_defaults():
     assert config == tuple(defaults.values())
 
 
-def test_commands_accept_explicit_streams():
-    out = io.StringIO()
-    assert cmd_table2(RunConfig(n_max=0, alphas=(1.2,)), out) == 0
-    assert out.getvalue().startswith("n,alpha=1.2")
-    out = io.StringIO()
-    assert cmd_limit(RunConfig(alphas=(0.5,)), out) == 0
-    out = io.StringIO()
-    assert cmd_wavefunction(RunConfig(alphas=(1.2,)), 0, 5, out) == 0
-    with pytest.raises(ConfigError):
-        cmd_verify(RunConfig(grid_points=100), io.StringIO())
-
-
 # --- binary contract ---------------------------------------------------------
 
 def test_cli_import_does_not_load_scipy():
@@ -679,3 +669,42 @@ def test_a_reader_that_leaves_early_gets_status_141(unbuffered):
         child.stdout.close()
         _, err = child.communicate(timeout=30)
     assert (child.returncode, err) == (141, b"")
+
+
+def run_redirected(argv, redirect):
+    """Run `python -m ptnu argv` with one shell redirection applied to the
+    child alone; returns the CompletedProcess, its streams as text."""
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh",
+                           sys.executable, "-m", "ptnu", *argv],
+                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+
+
+@pytest.mark.parametrize("argv,redirect,code", [
+    (["table2"], ">&-", errno.EBADF),
+    (["limit"], ">/dev/full", errno.ENOSPC),
+], ids=["closed", "full"])
+def test_a_closed_or_full_stdout_gets_status_74(argv, redirect, code):
+    # these ended in an AttributeError and an OSError traceback with exit 1,
+    # the failed-verification status; 74 is EX_IOERR in sysexits.h
+    done = run_redirected(argv, redirect)
+    assert (done.returncode, done.stdout) == (74, "")
+    assert done.stderr == f"error: cannot write output: [Errno {code}] {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
+def test_a_refused_flag_with_a_closed_or_full_stderr_leaves_stdout_empty(redirect):
+    # closed, print(file=None) wrote the error line to stdout; full, the
+    # OSError of that print ended the run with exit 1
+    done = run_redirected(["table2", "--m", "-1"], redirect)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "")
+
+
+def test_a_failed_verify_with_stderr_closed_prints_only_the_table():
+    # print(file=None) appended the failed-cell line to the table on stdout
+    argv = ["verify", "--alpha", "0.002", "--nmax", "20"]
+    code, out, err = run_main(argv)
+    assert (code, err) == (1, "verify: n=20 alpha=0.002 fails ORACLE_SPACING\n")
+    done = run_redirected(argv, "2>&-")
+    assert (done.returncode, done.stdout, done.stderr) == (1, out, "")

@@ -7,13 +7,13 @@ from helpers import TABLE2_ALPHAS, reference_potential
 from ptnu import (
     NuCoefficients,
     SpectralFamily,
-    derive_constants,
     energy_closed_form,
     quantization_residual,
     solve_energy,
     to_nu_family,
 )
 from ptnu.errors import DomainError, NonConvergence, NoSignChange
+from ptnu.nu import derive_constants
 from references import tau_prime
 
 PT_REF = reference_potential(1.2)

@@ -16,10 +16,10 @@ from ptnu import (
     energy_closed_form,
     lowest_eigenvalues,
     normalized_wavefunction,
-    ode_residual,
     richardson,
 )
 from ptnu.errors import DomainError, NonFinite
+from ptnu.oracle import ode_residual
 
 PT_REF = reference_potential(1.2)
 

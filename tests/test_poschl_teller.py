@@ -25,8 +25,6 @@ from ptnu import (
     alpha_zero_limit,
     energy_closed_form,
     energy_via_nu,
-    integrate,
-    normalize,
     normalized_wavefunction,
     nu,
     oracle,
@@ -35,6 +33,8 @@ from ptnu import (
 )
 from ptnu import poschl_teller as pt
 from ptnu.errors import DomainError, NoSignChange
+from ptnu.poschl_teller import normalize
+from ptnu.special_functions import integrate
 from references import eigenfunction_factors, level_depth_slopes, potential_value
 
 PT_REF = reference_potential(1.2)

@@ -24,9 +24,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import BOX_CORNERS, WIDE_CORNERS
-from ptnu import PtPotential, energy_closed_form, energy_via_nu, normalize, nu, to_nu_family
+from ptnu import PtPotential, energy_closed_form, energy_via_nu, nu, to_nu_family
 from ptnu.cli import RunConfig, cmd_verify, main
 from ptnu.errors import PtnuError
+from ptnu.poschl_teller import normalize
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -59,7 +60,8 @@ def test_verify_agrees_three_ways(m, v1, v2, alpha, n_max):
     out = io.StringIO()
     config = RunConfig(m=m, v1=v1, v2=v2, alphas=(alpha,), n_max=n_max, format="json",
                        precision=17)
-    assert cmd_verify(config, out) == 0
+    with contextlib.redirect_stdout(out):
+        assert cmd_verify(config) == 0
     rows = json.loads(out.getvalue())
     assert [row["n"] for row in rows] == list(range(n_max + 1))
     p = PtPotential(m, v1, v2, alpha)

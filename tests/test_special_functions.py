@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from ptnu import (
-    gauss_rule,
-    integrate,
-    jacobi,
-    jacobi_log_norm,
-    jacobi_scaled,
-)
 from ptnu.errors import DomainError, NonFinite
+from ptnu.special_functions import gauss_rule, integrate, jacobi, jacobi_log_norm, jacobi_scaled
 from references import jacobi_sum
 
 
