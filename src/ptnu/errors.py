@@ -11,7 +11,8 @@ class NoSignChange(PtnuError):
 
 class NonConvergence(PtnuError):
     """The condition is not affine in eps over the bracket, or its residual
-    is still above the tolerance after the affine step."""
+    is still above the tolerance after the affine step; or an oracle level
+    left its bisection bracket under inverse iteration."""
 
 
 class DomainError(PtnuError, ValueError):

@@ -85,8 +85,8 @@ def eigenvector(op, eigenvalue: float) -> np.ndarray:
 
     Each of the four steps is one LAPACK tridiagonal solve (gtsv, partial
     pivoting) of the shifted operator, which is nearly singular on
-    purpose.  The shift sits 4 ulp off the eigenvalue, as close as dstebz
-    resolves it, so an eigenvalue equal to a decoupled diagonal entry
+    purpose.  The shift sits 4 ulp off the eigenvalue, about as close as
+    the oracle resolves it, so an eigenvalue equal to a decoupled diagonal entry
     leaves a nonzero pivot instead of an exactly singular solve.
     """
     import scipy.linalg

@@ -684,10 +684,14 @@ def run_redirected(argv, redirect):
 @pytest.mark.parametrize("argv,redirect,code", [
     (["table2"], ">&-", errno.EBADF),
     (["limit"], ">/dev/full", errno.ENOSPC),
-], ids=["closed", "full"])
+    (["--help"], ">&-", errno.EBADF),
+    (["verify", "--help"], ">/dev/full", errno.ENOSPC),
+], ids=["closed", "full", "help-closed", "help-full"])
 def test_a_closed_or_full_stdout_gets_status_74(argv, redirect, code):
     # these ended in an AttributeError and an OSError traceback with exit 1,
-    # the failed-verification status; 74 is EX_IOERR in sysexits.h
+    # the failed-verification status; 74 is EX_IOERR in sysexits.h.  The
+    # help exited 0, written to stderr when stdout was closed and lost when
+    # it was full.
     done = run_redirected(argv, redirect)
     assert (done.returncode, done.stdout) == (74, "")
     assert done.stderr == f"error: cannot write output: [Errno {code}] {os.strerror(code)}\n"

@@ -2,6 +2,7 @@ import ast
 import importlib.machinery
 import importlib.util
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from ptnu import (
     normalized_wavefunction,
     richardson,
 )
-from ptnu.errors import DomainError, NonFinite
+from ptnu.errors import DomainError, NonConvergence, NonFinite
 from ptnu.oracle import ode_residual
 
 PT_REF = reference_potential(1.2)
@@ -156,18 +157,107 @@ def test_pt_eigenvalues_match_dense_solver():
     np.testing.assert_allclose(lowest_eigenvalues(op, 7), expected, rtol=1e-11, atol=0.0)
 
 
-@pytest.mark.parametrize("n_points", [1000, 2001])
-@pytest.mark.parametrize("alpha", TABLE2_ALPHAS)
-def test_dstebz_is_the_call_scipy_linalg_makes(alpha, n_points):
-    # bit for bit, with scipy.linalg and its own copy of the extension loaded
-    # in the same process beside the one the oracle loads from the file
-    import scipy.linalg
+def sturm_level(op: RadialOperator, n: int, guess: float) -> float:
+    """Level n of the float matrix `op` by bisection on a Sturm count in
+    120-bit arithmetic (mpmath), from a bracket of 1e-10 of `guess` down to
+    two adjacent floats: the lower of the two."""
+    from mpmath.libmp import from_float, mpf_div, mpf_mul, mpf_sub, round_nearest
 
+    def sub(a, b):
+        return mpf_sub(a, b, 120, round_nearest)
+
+    diag = [from_float(float(d)) for d in op.diag]
+    e2 = mpf_mul(from_float(op.offdiag), from_float(op.offdiag), 120, round_nearest)  # exact
+    pivmin = from_float(1e-300)
+
+    def below(sigma: float) -> int:
+        # negative pivots of the LDL^T factorization of op - sigma
+        s = from_float(sigma)
+        q = sub(diag[0], s)
+        count = q[0]
+        for d in diag[1:]:
+            q = sub(sub(d, s), mpf_div(e2, q if q[1] else pivmin, 120, round_nearest))
+            count += q[0]
+        return count
+
+    lo, hi = guess * (1.0 - 1e-10), guess * (1.0 + 1e-10)
+    assert below(lo) <= n < below(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if below(mid) > n else (mid, hi)
+    return lo
+
+
+@pytest.mark.parametrize("n_points", [1000, 2001])
+@pytest.mark.parametrize("alpha", [1.2, 0.8, 0.002])
+def test_levels_match_a_120_bit_sturm_bisection(alpha, n_points):
+    # dstebz run to its smallest tolerance misses these by up to 1,069 ulp
     op = discretize(reference_potential(alpha), n_points)
-    expected = scipy.linalg.eigvalsh_tridiagonal(
-        op.diag, np.full(n_points - 1, op.offdiag), select="i", select_range=(0, 6),
-        tol=np.finfo(float).tiny, lapack_driver="stebz")
-    assert lowest_eigenvalues(op, 7) == expected.tolist()
+    values = lowest_eigenvalues(op, 7)
+    for n in (0, 6):
+        reference = sturm_level(op, n, values[n])
+        assert abs(values[n] - reference) <= 32 * math.ulp(reference), n
+
+
+def test_deep_narrow_well_level_to_a_few_ulp():
+    # levels 6e-6 of their size apart, closer than the first tolerance, so
+    # bisected again; one inverse-iteration solve leaves level 3 off by
+    # 2.7e7 ulp, two by 32 ulp, and three by 1 ulp
+    p = PtPotential(37.40080230836497, 52.543716591865326, 1.1974888510768515,
+                    0.00011597527969131442)
+    op = discretize(p, 4000)
+    value = lowest_eigenvalues(op, 4)[3]
+    reference = sturm_level(op, 3, value)
+    assert abs(value - reference) <= 8 * math.ulp(reference)
+
+
+def test_symmetric_well_keeps_its_odd_states():
+    # V1 = V2: every odd state is antisymmetric about the midpoint of the
+    # well, and the start vector must reach it as well as the even ones
+    op = discretize(PtPotential(10.0, 4.0, 4.0, 0.8), 1201)
+    dense = np.diag(op.diag) + np.diag(np.full(1200, op.offdiag), 1) \
+        + np.diag(np.full(1200, op.offdiag), -1)
+    expected = np.linalg.eigvalsh(dense)[:7]
+    np.testing.assert_allclose(lowest_eigenvalues(op, 7), expected, rtol=1e-11, atol=0.0)
+
+
+def test_box_levels_to_a_few_ulp():
+    # V' = 0: diag - 2c is exactly zero, so the levels are 4c sin^2(k pi / (2n + 2))
+    op = box_operator(1.0, 400)
+    for k, value in enumerate(lowest_eigenvalues(op, 7), start=1):
+        exact = -4.0 * op.offdiag * math.sin(k * math.pi / 802) ** 2
+        assert abs(value - exact) <= 8 * math.ulp(exact), k
+
+
+def test_levels_at_exact_diagonal_entries_stay_finite():
+    # zero coupling: every shift equals a diagonal entry, so its
+    # factorization has an exact zero pivot
+    op = RadialOperator(n_points=200, h=1.0, diag=np.arange(200.0), offdiag=0.0)
+    values = lowest_eigenvalues(op, 7)
+    assert np.all(np.isfinite(values))
+    np.testing.assert_allclose(values, np.arange(7.0), rtol=0.0, atol=1e-15)
+
+
+def test_levels_closer_than_the_first_tolerance_are_bisected_again():
+    # two levels 1e-9 apart, well inside the first bracket width, and both
+    # kept apart to the last bit
+    diag = np.r_[1.0, 1.0 + 1e-9, np.arange(2.0, 200.0)]
+    op = RadialOperator(n_points=200, h=1.0, diag=diag, offdiag=0.0)
+    assert lowest_eigenvalues(op, 4) == diag[:4].tolist()
+
+
+def test_a_refined_level_outside_its_bracket_raises(monkeypatch):
+    # a bisection that returns every level half a gap too high: inverse
+    # iteration still finds the true level, which the guard refuses
+    lapack = ptnu.oracle._flapack()
+
+    def dstebz(*args):
+        m, values, iblock, isplit, info = lapack.dstebz(*args)
+        return m, values + 1.0, iblock, isplit, info
+
+    monkeypatch.setattr(ptnu.oracle, "_flapack", lambda: types.SimpleNamespace(
+        dstebz=dstebz, dgttrf=lapack.dgttrf, dgttrs=lapack.dgttrs))
+    with pytest.raises(NonConvergence, match="left the bracket"):
+        lowest_eigenvalues(box_operator(math.pi, 400), 3)
 
 
 @pytest.mark.parametrize("finder", [importlib.util, importlib.machinery.PathFinder])
@@ -302,13 +392,15 @@ def test_ode_residual_rejects_edge_samples():
 
 def test_oracle_imports_stay_independent():
     # no path to the NU engine or the closed form, and no scipy import at all:
-    # dstebz comes from scipy's extension file, loaded without scipy's package code
+    # the LAPACK routines come from scipy's extension file, loaded without
+    # scipy's package code
     tree = ast.parse(Path(ptnu.oracle.__file__).read_text(encoding="utf-8"))
     in_package = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.startswith("ptnu")):
             in_package.update(f"{node.module}.{alias.name}" for alias in node.names)
-    assert in_package == {"errors.DomainError", "errors.NonFinite", "poschl_teller.PtPotential"}
+    assert in_package == {"errors.DomainError", "errors.NonConvergence", "errors.NonFinite",
+                          "poschl_teller.PtPotential"}
     scipy_imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)
                      and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
                      or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")]

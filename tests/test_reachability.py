@@ -1,9 +1,9 @@
 """Every function in `src/ptnu` runs on some path of the command line.
 
 A child interpreter sets `sys.setprofile` before `import ptnu`, runs each
-subcommand through `cli.main` (a `--config` run, a json run and a refused
-run among them), and reports the file and first line of every code
-object called from the package.  Functions and lambdas are matched
+subcommand through `cli.main` (a `--config` run, a json run, a refused
+run and a `--help` run among them), and reports the file and first line
+of every code object called from the package.  Functions and lambdas are matched
 against the package's source by that pair, since `co_qualname` needs
 Python 3.11; class and module bodies do not count.
 Every exception class in `ptnu.errors` but the base is raised somewhere.
@@ -50,7 +50,10 @@ from ptnu import cli
 codes = []
 for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        codes.append(cli.main(argv))
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as done:  # --help exits through argparse
+            codes.append(done.code)
 sys.setprofile(None)
 print(json.dumps({"codes": codes,
                   "called": [[os.path.realpath(f), line] for f, line in called]}))
@@ -91,11 +94,12 @@ def test_every_function_runs_or_is_allowlisted(tmp_path):
         ["wavefunction", "--n", "2", "--points", "50", "--format", "tsv"],
         ["verify", "--alpha", "1.2,0.002", "--nmax", "2", "--grid-points", "1000", "--format", "json"],
         ["table2", "--m", "-1"],
+        ["verify", "--help"],
     ]
     child = subprocess.run([sys.executable, "-c", CHILD, str(PACKAGE.parent), json.dumps(runs)],
                            capture_output=True, text=True, timeout=120, check=True)
     report = json.loads(child.stdout)
-    assert report["codes"] == [0, 0, 0, 0, 0, 2]
+    assert report["codes"] == [0, 0, 0, 0, 0, 2, 0]
 
     functions = defined_functions()
     called = {functions[key] for key in map(tuple, report["called"]) if key in functions}
