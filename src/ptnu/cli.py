@@ -37,13 +37,13 @@ ORACLE_BAND = 1e-4
 # Largest oracle error allowed, as a fraction of the gap E_{n+1} - E_n.
 ORACLE_SPACING = 1e-3
 FORMATS = ("csv", "tsv", "json")
-# Ceilings on what one run may ask for, far above any use in the paper, so
-# that every command ends within seconds.  MAX_POINTS bounds the samples of
+# Ceilings on what one run may ask for, far above any use in the paper, so that
+# every command ends within seconds.  MAX_POINTS bounds the samples of
 # wavefunction and the grid of every command.  verify's time per alpha,
-# measured, grows as (nmax + 2) * grid_points, at 0.90-0.96 us per unit on
-# a 2-core x86 sandbox from nmax 6 to 250 and grid_points 2,000 to 20,000:
-# a grid costs about as much as a level.  wavefunction's grows as (n + 1) * points: each sample runs the n
-# steps of the Jacobi recurrence in the interpreter.
+# measured, grows as (nmax + 2) * grid_points, at 0.90-0.96 us per unit on a
+# 2-core x86 sandbox from nmax 6 to 250 and grid_points 2,000 to 20,000: a grid
+# costs about as much as a level.  wavefunction's grows as (n + 1) * points:
+# each sample runs the n steps of the Jacobi recurrence in the interpreter.
 MAX_NMAX = 1000
 MAX_ALPHAS = 100
 MAX_POINTS = 100_000
@@ -218,8 +218,8 @@ def certify(p: PtPotential, count: int, n_points: int) -> list[Cell]:
     the root, ORACLE_BAND for the oracle), or when the oracle misses the
     closed form by more than ORACLE_SPACING of the gap to the next level.
     """
-    coarse = lowest_eigenvalues(discretize(p, n_points), count)
-    fine = lowest_eigenvalues(discretize(p, 2 * n_points + 1), count)
+    coarse = lowest_eigenvalues(*discretize(p, n_points), count)
+    fine = lowest_eigenvalues(*discretize(p, 2 * n_points + 1), count)
     oracle_levels = [richardson(c, f) / (2.0 * p.m) for c, f in zip(coarse, fine)]
     ladder = [energy_closed_form(p, n) for n in range(count + 1)]
     cells = []

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 
 from .errors import DomainError, NonConvergence, NonFinite
 
@@ -32,16 +31,11 @@ if TYPE_CHECKING:
     from .poschl_teller import PtPotential
 
 
-class RadialOperator(namedtuple("RadialOperator", "n_points h diag offdiag")):
-    """Symmetric tridiagonal discretization on the interior grid r_i = i*h:
-    n_points, the step h, the diagonal (an ndarray) and the constant
-    off-diagonal entry; an immutable tuple with named fields."""
-
-    __slots__ = ()
-
-
-def discretize(p: PtPotential, n_points: int) -> RadialOperator:
-    """Three-point operator for the reduced equation with eps = 2mE."""
+def discretize(p: PtPotential, n_points: int) -> tuple[np.ndarray, float]:
+    """Three-point operator for the reduced equation with eps = 2mE on the
+    interior grid r_i = i*h, h = r_max / (n_points + 1): the pair (diag,
+    offdiag) of its diagonal, an ndarray of length n_points, and its
+    constant off-diagonal entry -1/h^2."""
     import numpy as np
 
     if n_points < 100:
@@ -54,7 +48,7 @@ def discretize(p: PtPotential, n_points: int) -> RadialOperator:
     diag = (2.0 / (h * h) if h * h > 0.0 else math.inf) + v_prime
     if not np.all(np.isfinite(diag)):
         raise NonFinite("operator leaves floating-point range on the grid")
-    return RadialOperator(n_points=n_points, h=h, diag=diag, offdiag=-1.0 / (h * h))
+    return diag, -1.0 / (h * h)
 
 
 @functools.cache
@@ -74,9 +68,11 @@ def _flapack():
     return importlib.util.module_from_spec(spec)
 
 
-def lowest_eigenvalues(op: RadialOperator, count: int) -> list[float]:
-    """The `count` smallest eigenvalues, ascending: a short bisection by
-    LAPACK dstebz, then inverse iteration and a Rayleigh quotient per level.
+def lowest_eigenvalues(diag: np.ndarray, offdiag: float, count: int) -> list[float]:
+    """The `count` smallest eigenvalues, ascending, of the tridiagonal
+    matrix with the 1-D diagonal `diag` and every off-diagonal entry
+    `offdiag`, the pair `discretize` returns: a short bisection by LAPACK
+    dstebz, then inverse iteration and a Rayleigh quotient per level.
 
     dstebz brackets each level to an absolute tolerance `tol`, 1e-6 of a
     lower bound on the whole spectrum, instead of running the Sturm count
@@ -90,29 +86,32 @@ def lowest_eigenvalues(op: RadialOperator, count: int) -> list[float]:
     bisection of the same float matrix every level measured came out
     within 3 ulp, where dstebz run to its smallest tolerance is off by up
     to 186,000 ulp.  Levels closer than 64 tol are bisected again with a
-    smaller tol, and a refined level more than 2 tol from its bracket, or
-    not finite, raises NonConvergence.  dstebz gives up (raised here as
-    NonFinite) where the square of an off-diagonal entry overflows, for
-    alpha beyond about 1e76.
+    smaller tol.  A shift with a pivot within `noise` of zero, the Sturm
+    count's rounding noise, is a level to rounding, whose solves would
+    overflow: it is factored once more `noise` lower.  A refined level more
+    than 2 tol from its bracket, or not finite, raises NonConvergence.
+    dstebz gives up (raised here as NonFinite) where the square of an
+    off-diagonal entry overflows, for alpha beyond about 1e76.
     """
     import numpy as np
 
-    if not (1 <= count <= op.n_points):
-        raise DomainError(f"need 1 <= count <= {op.n_points}, got {count}")
-    if np.shape(op.diag) != (op.n_points,):
-        raise DomainError(f"need a diagonal of shape ({op.n_points},), got {np.shape(op.diag)}")
-    if not (np.all(np.isfinite(op.diag)) and math.isfinite(op.offdiag)):
+    if np.ndim(diag) != 1:  # LAPACK's wrapper would flatten it and solve it
+        raise DomainError(f"need a 1-D diagonal, got one of shape {np.shape(diag)}")
+    n = len(diag)
+    if not (1 <= count <= n):
+        raise DomainError(f"need 1 <= count <= {n}, got {count}")
+    if not (np.all(np.isfinite(diag)) and math.isfinite(offdiag)):
         raise NonFinite("operator has a NaN or infinite entry")
     lapack = _flapack()
-    n, c = op.n_points, -op.offdiag
-    off = np.full(n - 1, op.offdiag)
+    c = -offdiag
+    off = np.full(n - 1, offdiag)
     # The operator is |c| times the Dirichlet Laplacian, whose lowest level
     # is 4 sin^2(pi / (2n + 2)), plus diag - 2|c|: so every level lies above
     # `floor`, and tol is that small a part of each positive level.  Where
     # the bound is not positive, `norm`, within a factor 2 of the Gershgorin
     # bound on every level's size, sets the scale.  No tol goes below
     # `noise`, a bound on the error of dstebz's own Sturm count.
-    lo, hi = float(np.min(op.diag)), float(np.max(op.diag))
+    lo, hi = float(np.min(diag)), float(np.max(diag))
     floor = lo - 2.0 * abs(c) + 4.0 * abs(c) * math.sin(math.pi / (2 * n + 2)) ** 2
     norm = max(abs(lo), abs(hi), 2.0 * abs(c))
     noise = 8.0 * _EPS * norm
@@ -122,7 +121,7 @@ def lowest_eigenvalues(op: RadialOperator, count: int) -> list[float]:
     # unread; order "E" sorts over the whole matrix
     want = min(count + 1, n)
     while True:
-        m, values, _, _, info = lapack.dstebz(op.diag, off, 2, 0.0, 1.0, 1, want, tol, "E")
+        m, values, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 1.0, 1, want, tol, "E")
         if info != 0 or m != want:
             raise NonFinite(f"dstebz failed on this operator: info={info}, {m} of {want} found")
         gap = float(np.min(np.diff(values[:want]))) if want > 1 else math.inf
@@ -130,14 +129,13 @@ def lowest_eigenvalues(op: RadialOperator, count: int) -> list[float]:
             break
         tol = max(gap / 256.0, noise)
 
-    weight = op.diag - 2.0 * c
+    weight = diag - 2.0 * c
     start = np.arange(1.0, n + 1.0) / n
     levels = []
     for shift in values[:count].tolist():
-        dl, d, du, du2, ipiv, _ = lapack.dgttrf(off, op.diag - shift, off)
-        # an exact zero pivot: the shift is a level of the float matrix, and
-        # a pivot of tol in its place draws the iterate onto that level
-        d[d == 0.0] = tol
+        dl, d, du, du2, ipiv, _ = lapack.dgttrf(off, diag - shift, off)
+        if np.min(np.abs(d)) <= noise:
+            dl, d, du, du2, ipiv, _ = lapack.dgttrf(off, diag - (shift - noise), off)
         x, last = start, math.nan
         with np.errstate(all="ignore"):  # the guard below refuses what leaves float range
             for _ in range(8):

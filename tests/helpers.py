@@ -79,9 +79,10 @@ def norm_by_quadrature(r_fn, r_max: float, panels: int = 64) -> float:
     return integrate(lambda r: r_fn(r) ** 2, *state_window(r_fn, r_max), panels)[0]
 
 
-def eigenvector(op, eigenvalue: float) -> np.ndarray:
-    """Unit eigenvector of the `ptnu.RadialOperator` op by inverse iteration
-    at the converged eigenvalue.
+def eigenvector(diag: np.ndarray, offdiag: float, eigenvalue: float) -> np.ndarray:
+    """Unit eigenvector of the symmetric tridiagonal operator (diag, offdiag),
+    as `ptnu.oracle.discretize` returns it, by inverse iteration at the
+    converged eigenvalue.
 
     Each of the four steps is one LAPACK tridiagonal solve (gtsv, partial
     pivoting) of the shifted operator, which is nearly singular on
@@ -91,11 +92,11 @@ def eigenvector(op, eigenvalue: float) -> np.ndarray:
     """
     import scipy.linalg
 
-    shifted = np.empty((3, op.n_points))
-    shifted[0] = shifted[2] = op.offdiag
-    shifted[1] = op.diag - (eigenvalue + 4.0 * np.spacing(eigenvalue))
+    shifted = np.empty((3, len(diag)))
+    shifted[0] = shifted[2] = offdiag
+    shifted[1] = diag - (eigenvalue + 4.0 * np.spacing(eigenvalue))
     rng = np.random.default_rng(8671)
-    v = rng.standard_normal(op.n_points)
+    v = rng.standard_normal(len(diag))
     v /= np.linalg.norm(v)
     for _ in range(4):
         v = scipy.linalg.solve_banded((1, 1), shifted, v)

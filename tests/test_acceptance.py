@@ -89,8 +89,8 @@ def test_criterion_3_oracle_certification():
     worst = 0.0
     for alpha in ORACLE_ALPHAS:
         p = reference_potential(alpha)
-        coarse = lowest_eigenvalues(discretize(p, 8000), 7)
-        fine = lowest_eigenvalues(discretize(p, 16001), 7)
+        coarse = lowest_eigenvalues(*discretize(p, 8000), 7)
+        fine = lowest_eigenvalues(*discretize(p, 16001), 7)
         for n in range(7):
             expected = energy_closed_form(p, n)
             extrapolated = richardson(coarse[n], fine[n]) / (2.0 * p.m)
@@ -108,8 +108,8 @@ def test_criterion_3_small_alpha_and_level_spacing():
     worst = 0.0
     for alpha in (0.2, 0.02, 0.002):
         p = reference_potential(alpha)
-        coarse = lowest_eigenvalues(discretize(p, 8000), 7)
-        fine = lowest_eigenvalues(discretize(p, 16001), 7)
+        coarse = lowest_eigenvalues(*discretize(p, 8000), 7)
+        fine = lowest_eigenvalues(*discretize(p, 16001), 7)
         for n in range(7):
             expected = energy_closed_form(p, n)
             extrapolated = richardson(coarse[n], fine[n]) / (2.0 * p.m)
@@ -121,8 +121,8 @@ def test_criterion_3_small_alpha_and_level_spacing():
     worst_spacing = 0.0
     for alpha in TABLE2_ALPHAS:
         p = reference_potential(alpha)
-        coarse = lowest_eigenvalues(discretize(p, 2000), 7)
-        fine = lowest_eigenvalues(discretize(p, 4001), 7)
+        coarse = lowest_eigenvalues(*discretize(p, 2000), 7)
+        fine = lowest_eigenvalues(*discretize(p, 4001), 7)
         levels = [energy_closed_form(p, n) for n in range(8)]
         for n in range(7):
             extrapolated = richardson(coarse[n], fine[n]) / (2.0 * p.m)
@@ -218,7 +218,7 @@ def test_criterion_8_convergence_order():
     p = reference_potential(1.2)
     exact = 2.0 * p.m * energy_closed_form(p, 0)
     grids = (1000, 2000, 4000)
-    errors = [abs(lowest_eigenvalues(discretize(p, n), 1)[0] - exact) for n in grids]
+    errors = [abs(lowest_eigenvalues(*discretize(p, n), 1)[0] - exact) for n in grids]
     steps = [p.r_max / (n + 1) for n in grids]
     orders = [math.log(errors[i] / errors[i + 1]) / math.log(steps[i] / steps[i + 1])
               for i in range(2)]

@@ -280,6 +280,16 @@ def test_verify_names_each_failed_cell_on_stderr():
                                 "verify: n=6 alpha=0.002 fails ORACLE_SPACING"]
 
 
+def test_verify_at_a_negligible_coupling_fails_spacing_not_the_oracle():
+    # the oracle's shifts land on diagonal entries with near-zero pivots;
+    # its levels stay finite, so the cells fail ORACLE_SPACING alone
+    code, out, err = run_main(["verify", "--m", "50", "--v1", "100", "--v2", "100",
+                               "--alpha", "1e-59", "--nmax", "6"])
+    assert code == 1 and out and "nan" not in out + err
+    assert err.splitlines() == [f"verify: n={n} alpha=1e-59 fails ORACLE_SPACING"
+                                for n in range(7)]
+
+
 def test_certify_fails_exactly_the_cells_outside_nu_band(monkeypatch):
     p = PtPotential(10.0, 5.0, 3.0, 0.002)
     loose = certify(p, 7, 1000)

@@ -12,7 +12,6 @@ import ptnu.oracle
 from helpers import TABLE2_ALPHAS, count_sign_changes, eigenvector, reference_potential
 from ptnu import (
     PtPotential,
-    RadialOperator,
     discretize,
     energy_closed_form,
     lowest_eigenvalues,
@@ -25,12 +24,11 @@ from ptnu.oracle import ode_residual
 PT_REF = reference_potential(1.2)
 
 
-def box_operator(length: float, n_points: int) -> RadialOperator:
-    """Zero-potential operator on (0, length); the free-particle box."""
+def box_operator(length: float, n_points: int) -> tuple[np.ndarray, float]:
+    """Zero-potential operator (diag, offdiag) on (0, length); the
+    free-particle box."""
     h = length / (n_points + 1)
-    return RadialOperator(n_points=n_points, h=h,
-                          diag=np.full(n_points, 2.0 / (h * h)),
-                          offdiag=-1.0 / (h * h))
+    return np.full(n_points, 2.0 / (h * h)), -1.0 / (h * h)
 
 
 def box_discrete_eigenvalue(length: float, n_points: int, k: int) -> float:
@@ -42,22 +40,24 @@ def box_discrete_eigenvalue(length: float, n_points: int, k: int) -> float:
 # --- discretization ----------------------------------------------------------
 
 def test_discretize_grid_spacing():
-    op = discretize(PT_REF, 999)
-    assert op.h == pytest.approx((math.pi / 2.4) / 1000.0, rel=1e-15)
-    assert op.n_points == 999
+    diag, offdiag = discretize(PT_REF, 999)
+    h = PT_REF.r_max / 1000.0
+    assert h == pytest.approx((math.pi / 2.4) / 1000.0, rel=1e-15)
+    assert len(diag) == 999
+    assert offdiag == -1.0 / (h * h)
 
 
 def test_discretize_diag_at_midpoint():
     # with 999 points, grid index 500 sits exactly at pi/(4*alpha)
-    op = discretize(PT_REF, 999)
-    expected = 2.0 / op.h ** 2 + 2.0 * PT_REF.v1_prime + 2.0 * PT_REF.v2_prime
-    assert op.diag[499] == pytest.approx(expected, rel=1e-12)
+    diag, _ = discretize(PT_REF, 999)
+    h = PT_REF.r_max / 1000.0
+    expected = 2.0 / h ** 2 + 2.0 * PT_REF.v1_prime + 2.0 * PT_REF.v2_prime
+    assert diag[499] == pytest.approx(expected, rel=1e-12)
 
 
 def test_discretize_symmetric_by_construction():
-    op = discretize(PT_REF, 120)
-    dense = np.diag(op.diag) + np.diag(np.full(op.n_points - 1, op.offdiag), 1) \
-        + np.diag(np.full(op.n_points - 1, op.offdiag), -1)
+    diag, offdiag = discretize(PT_REF, 120)
+    dense = np.diag(diag) + np.diag(np.full(119, offdiag), 1) + np.diag(np.full(119, offdiag), -1)
     assert np.array_equal(dense, dense.T)
 
 
@@ -81,10 +81,10 @@ def test_discretize_rejects_overflowing_kinetic_term(alpha):
 @pytest.mark.parametrize("alpha", [1e77, 1e150])
 def test_lowest_eigenvalues_refuses_what_dstebz_cannot_count(alpha):
     # a finite operator whose squared off-diagonal overflows inside dstebz
-    op = discretize(reference_potential(alpha), 1000)
-    assert np.all(np.isfinite(op.diag)) and math.isfinite(op.offdiag)
+    diag, offdiag = discretize(reference_potential(alpha), 1000)
+    assert np.all(np.isfinite(diag)) and math.isfinite(offdiag)
     with pytest.raises(NonFinite):
-        lowest_eigenvalues(op, 1)
+        lowest_eigenvalues(diag, offdiag, 1)
 
 
 @pytest.mark.parametrize("diag,offdiag", [
@@ -94,36 +94,28 @@ def test_lowest_eigenvalues_refuses_what_dstebz_cannot_count(alpha):
     (np.ones(150), np.nan),
 ])
 def test_lowest_eigenvalues_refuses_a_non_finite_operator(diag, offdiag):
-    op = RadialOperator(n_points=150, h=1.0, diag=diag, offdiag=offdiag)
     with pytest.raises(NonFinite, match="NaN or infinite"):
-        lowest_eigenvalues(op, 3)
+        lowest_eigenvalues(diag, offdiag, 3)
 
 
-@pytest.mark.parametrize("diag,n_points", [
-    (np.ones(150), 200),
-    (np.ones(200), 150),
-    (np.ones((2, 75)), 150),
-])
-def test_lowest_eigenvalues_refuses_a_diagonal_of_the_wrong_shape(diag, n_points):
+def test_lowest_eigenvalues_refuses_a_diagonal_of_the_wrong_shape():
     # LAPACK's wrapper would flatten the 2-D diagonal and solve it
-    op = RadialOperator(n_points=n_points, h=1.0, diag=diag, offdiag=-1.0)
     with pytest.raises(DomainError, match="shape"):
-        lowest_eigenvalues(op, 3)
+        lowest_eigenvalues(np.ones((2, 75)), -1.0, 3)
 
 
 # --- eigenvalue extraction ---------------------------------------------------
 
 def test_box_eigenvalues_match_discrete_closed_form():
-    op = box_operator(1.0, 400)
-    values = lowest_eigenvalues(op, 5)
+    values = lowest_eigenvalues(*box_operator(1.0, 400), 5)
     for k, value in enumerate(values, start=1):
         assert value == pytest.approx(box_discrete_eigenvalue(1.0, 400, k), rel=1e-10)
 
 
 def test_box_eigenvalues_converge_to_continuum():
     length = math.pi
-    coarse = lowest_eigenvalues(box_operator(length, 400), 4)
-    fine = lowest_eigenvalues(box_operator(length, 801), 4)
+    coarse = lowest_eigenvalues(*box_operator(length, 400), 4)
+    fine = lowest_eigenvalues(*box_operator(length, 801), 4)
     for k in range(1, 5):
         exact = (k * math.pi / length) ** 2
         raw_err = abs(coarse[k - 1] - exact) / exact
@@ -134,7 +126,7 @@ def test_box_eigenvalues_converge_to_continuum():
 
 
 def test_eigenvalues_strictly_increasing():
-    values = lowest_eigenvalues(discretize(PT_REF, 800), 7)
+    values = lowest_eigenvalues(*discretize(PT_REF, 800), 7)
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -142,32 +134,30 @@ def test_sturm_bisection_matches_dense_solver():
     rng = np.random.default_rng(17)
     diag = rng.uniform(0.0, 10.0, 200)
     offdiag = -0.8
-    op = RadialOperator(n_points=200, h=1.0, diag=diag, offdiag=offdiag)
     dense = np.diag(diag) + np.diag(np.full(199, offdiag), 1) + np.diag(np.full(199, offdiag), -1)
     expected = np.sort(np.linalg.eigvalsh(dense))[:6]
-    values = lowest_eigenvalues(op, 6)
+    values = lowest_eigenvalues(diag, offdiag, 6)
     np.testing.assert_allclose(values, expected, rtol=1e-10, atol=1e-10)
 
 
 def test_pt_eigenvalues_match_dense_solver():
-    op = discretize(PT_REF, 1201)
-    dense = np.diag(op.diag) + np.diag(np.full(1200, op.offdiag), 1) \
-        + np.diag(np.full(1200, op.offdiag), -1)
+    diag, offdiag = discretize(PT_REF, 1201)
+    dense = np.diag(diag) + np.diag(np.full(1200, offdiag), 1) + np.diag(np.full(1200, offdiag), -1)
     expected = np.linalg.eigvalsh(dense)[:7]
-    np.testing.assert_allclose(lowest_eigenvalues(op, 7), expected, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(lowest_eigenvalues(diag, offdiag, 7), expected, rtol=1e-11, atol=0.0)
 
 
-def sturm_level(op: RadialOperator, n: int, guess: float) -> float:
-    """Level n of the float matrix `op` by bisection on a Sturm count in
-    120-bit arithmetic (mpmath), from a bracket of 1e-10 of `guess` down to
-    two adjacent floats: the lower of the two."""
+def sturm_level(diag: np.ndarray, offdiag: float, n: int, guess: float) -> float:
+    """Level n of the float matrix (diag, offdiag) by bisection on a Sturm
+    count in 120-bit arithmetic (mpmath), from a bracket of 1e-10 of `guess`
+    down to two adjacent floats: the lower of the two."""
     from mpmath.libmp import from_float, mpf_div, mpf_mul, mpf_sub, round_nearest
 
     def sub(a, b):
         return mpf_sub(a, b, 120, round_nearest)
 
-    diag = [from_float(float(d)) for d in op.diag]
-    e2 = mpf_mul(from_float(op.offdiag), from_float(op.offdiag), 120, round_nearest)  # exact
+    diag = [from_float(float(d)) for d in diag]
+    e2 = mpf_mul(from_float(offdiag), from_float(offdiag), 120, round_nearest)  # exact
     pivmin = from_float(1e-300)
 
     def below(sigma: float) -> int:
@@ -192,9 +182,9 @@ def sturm_level(op: RadialOperator, n: int, guess: float) -> float:
 def test_levels_match_a_120_bit_sturm_bisection(alpha, n_points):
     # dstebz run to its smallest tolerance misses these by up to 1,069 ulp
     op = discretize(reference_potential(alpha), n_points)
-    values = lowest_eigenvalues(op, 7)
+    values = lowest_eigenvalues(*op, 7)
     for n in (0, 6):
-        reference = sturm_level(op, n, values[n])
+        reference = sturm_level(*op, n, values[n])
         assert abs(values[n] - reference) <= 32 * math.ulp(reference), n
 
 
@@ -205,44 +195,57 @@ def test_deep_narrow_well_level_to_a_few_ulp():
     p = PtPotential(37.40080230836497, 52.543716591865326, 1.1974888510768515,
                     0.00011597527969131442)
     op = discretize(p, 4000)
-    value = lowest_eigenvalues(op, 4)[3]
-    reference = sturm_level(op, 3, value)
+    value = lowest_eigenvalues(*op, 4)[3]
+    reference = sturm_level(*op, 3, value)
     assert abs(value - reference) <= 8 * math.ulp(reference)
 
 
 def test_symmetric_well_keeps_its_odd_states():
     # V1 = V2: every odd state is antisymmetric about the midpoint of the
     # well, and the start vector must reach it as well as the even ones
-    op = discretize(PtPotential(10.0, 4.0, 4.0, 0.8), 1201)
-    dense = np.diag(op.diag) + np.diag(np.full(1200, op.offdiag), 1) \
-        + np.diag(np.full(1200, op.offdiag), -1)
+    diag, offdiag = discretize(PtPotential(10.0, 4.0, 4.0, 0.8), 1201)
+    dense = np.diag(diag) + np.diag(np.full(1200, offdiag), 1) + np.diag(np.full(1200, offdiag), -1)
     expected = np.linalg.eigvalsh(dense)[:7]
-    np.testing.assert_allclose(lowest_eigenvalues(op, 7), expected, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(lowest_eigenvalues(diag, offdiag, 7), expected, rtol=1e-11, atol=0.0)
 
 
 def test_box_levels_to_a_few_ulp():
     # V' = 0: diag - 2c is exactly zero, so the levels are 4c sin^2(k pi / (2n + 2))
-    op = box_operator(1.0, 400)
-    for k, value in enumerate(lowest_eigenvalues(op, 7), start=1):
-        exact = -4.0 * op.offdiag * math.sin(k * math.pi / 802) ** 2
+    diag, offdiag = box_operator(1.0, 400)
+    for k, value in enumerate(lowest_eigenvalues(diag, offdiag, 7), start=1):
+        exact = -4.0 * offdiag * math.sin(k * math.pi / 802) ** 2
         assert abs(value - exact) <= 8 * math.ulp(exact), k
 
 
 def test_levels_at_exact_diagonal_entries_stay_finite():
     # zero coupling: every shift equals a diagonal entry, so its
     # factorization has an exact zero pivot
-    op = RadialOperator(n_points=200, h=1.0, diag=np.arange(200.0), offdiag=0.0)
-    values = lowest_eigenvalues(op, 7)
+    values = lowest_eigenvalues(np.arange(200.0), 0.0, 7)
     assert np.all(np.isfinite(values))
     np.testing.assert_allclose(values, np.arange(7.0), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p,n_points", [
+    (PtPotential(10.0, 5.0, 3.0, 1e-100), 1000),
+    (PtPotential(10.0, 5.0, 3.0, 1e-100), 2001),
+    (PtPotential(50.0, 100.0, 100.0, 1e-59), 2000),
+])
+def test_levels_at_near_singular_shifts_stay_on_the_diagonal(p, n_points):
+    # a coupling of 1e-200 or less: the levels are the diagonal entries, and
+    # each shift lands on one, where the row swap of the factorization
+    # leaves a pivot near 1e-174 instead of an exact zero
+    diag, offdiag = discretize(p, n_points)
+    expected = np.sort(diag)[:7]
+    values = lowest_eigenvalues(diag, offdiag, 7)
+    for n, (value, level) in enumerate(zip(values, expected)):
+        assert abs(value - level) <= 4 * math.ulp(level), n
 
 
 def test_levels_closer_than_the_first_tolerance_are_bisected_again():
     # two levels 1e-9 apart, well inside the first bracket width, and both
     # kept apart to the last bit
     diag = np.r_[1.0, 1.0 + 1e-9, np.arange(2.0, 200.0)]
-    op = RadialOperator(n_points=200, h=1.0, diag=diag, offdiag=0.0)
-    assert lowest_eigenvalues(op, 4) == diag[:4].tolist()
+    assert lowest_eigenvalues(diag, 0.0, 4) == diag[:4].tolist()
 
 
 def test_a_refined_level_outside_its_bracket_raises(monkeypatch):
@@ -257,7 +260,7 @@ def test_a_refined_level_outside_its_bracket_raises(monkeypatch):
     monkeypatch.setattr(ptnu.oracle, "_flapack", lambda: types.SimpleNamespace(
         dstebz=dstebz, dgttrf=lapack.dgttrf, dgttrs=lapack.dgttrs))
     with pytest.raises(NonConvergence, match="left the bracket"):
-        lowest_eigenvalues(box_operator(math.pi, 400), 3)
+        lowest_eigenvalues(*box_operator(math.pi, 400), 3)
 
 
 @pytest.mark.parametrize("finder", [importlib.util, importlib.machinery.PathFinder])
@@ -273,9 +276,9 @@ def test_lapack_loader_names_scipy_when_it_is_missing(monkeypatch, finder):
 def test_lowest_eigenvalues_count_bounds():
     op = box_operator(1.0, 150)
     with pytest.raises(DomainError):
-        lowest_eigenvalues(op, 0)
+        lowest_eigenvalues(*op, 0)
     with pytest.raises(DomainError):
-        lowest_eigenvalues(op, 151)
+        lowest_eigenvalues(*op, 151)
 
 
 # --- Richardson extrapolation ------------------------------------------------
@@ -296,7 +299,7 @@ def test_richardson_rejects_nonfinite():
 
 def test_step_halving_order_and_value():
     # steps 2h, h and h/2: 500, 1001 and 2003 interior points on one well
-    e_2h, e_h, e_h2 = (lowest_eigenvalues(discretize(PT_REF, n), 1)[0] for n in (500, 1001, 2003))
+    e_2h, e_h, e_h2 = (lowest_eigenvalues(*discretize(PT_REF, n), 1)[0] for n in (500, 1001, 2003))
     order = math.log2(abs(e_2h - e_h) / abs(e_h - e_h2))
     assert 1.7 <= order <= 2.3
     exact = 2.0 * PT_REF.m * energy_closed_form(PT_REF, 0)
@@ -311,10 +314,10 @@ def test_step_halving_order_and_value():
 def test_box_eigenvector_modes():
     length = 1.0
     op = box_operator(length, 301)
-    values = lowest_eigenvalues(op, 4)
-    grid = op.h * np.arange(1, op.n_points + 1)
+    values = lowest_eigenvalues(*op, 4)
+    grid = length / 302 * np.arange(1, 302)
     for k, eps in enumerate(values, start=1):
-        mode = eigenvector(op, eps)
+        mode = eigenvector(*op, eps)
         assert count_sign_changes(mode) == k - 1
         analytic = np.sin(k * math.pi * grid / length)
         analytic /= np.linalg.norm(analytic)
@@ -323,16 +326,15 @@ def test_box_eigenvector_modes():
 
 def test_eigenvector_at_decoupled_diagonal_entry():
     # zero coupling: the eigenvalue equals a diagonal entry exactly
-    op = RadialOperator(n_points=200, h=1.0, diag=np.arange(200.0), offdiag=0.0)
-    mode = eigenvector(op, 3.0)
+    mode = eigenvector(np.arange(200.0), 0.0, 3.0)
     assert np.argmax(np.abs(mode)) == 3 and mode[3] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pt_eigenvector_oscillation():
     op = discretize(PT_REF, 1201)
-    values = lowest_eigenvalues(op, 6)
+    values = lowest_eigenvalues(*op, 6)
     for k, eps in enumerate(values, start=1):
-        assert count_sign_changes(eigenvector(op, eps)) == k - 1
+        assert count_sign_changes(eigenvector(*op, eps)) == k - 1
 
 
 # Worst overlap deficit over n = 0..6 at N = 8000, about 3 times the measured
@@ -346,14 +348,15 @@ def test_eigenvectors_match_the_nu_states(alpha):
     # sampled on the same grid, for every Table-2 state of this alpha
     p = reference_potential(alpha)
     op = discretize(p, 8000)
-    r = op.h * np.arange(1, op.n_points + 1)
-    for n, eps in enumerate(lowest_eigenvalues(op, 7)):
-        v = eigenvector(op, eps)
+    h = p.r_max / 8001
+    r = h * np.arange(1, 8001)
+    for n, eps in enumerate(lowest_eigenvalues(*op, 7)):
+        v = eigenvector(*op, eps)
         radial = normalized_wavefunction(p, n)[1](r)
-        u = math.sqrt(op.h) * radial
+        u = math.sqrt(h) * radial
         assert 1.0 - abs(u @ v) / np.linalg.norm(u) <= STATE_DEFICIT[alpha], n
         assert count_sign_changes(v) == n
-        assert abs(op.h * np.sum(radial ** 2) - 1.0) <= 1e-10, n
+        assert abs(h * np.sum(radial ** 2) - 1.0) <= 1e-10, n
 
 
 # --- ODE defect --------------------------------------------------------------
