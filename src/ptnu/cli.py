@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from .errors import ConfigError, NonFinite, PtnuError
 from .nu import checked_record
-from .oracle import discretize, lowest_eigenvalues, richardson
+from .oracle import discretize, levels_near, lowest_eigenvalues, richardson
 from .poschl_teller import (
     PtPotential,
     alpha_zero_limit,
@@ -40,9 +40,11 @@ FORMATS = ("csv", "tsv", "json")
 # Ceilings on what one run may ask for, far above any use in the paper, so that
 # every command ends within seconds.  MAX_POINTS bounds the samples of
 # wavefunction and the grid of every command.  verify's time per alpha,
-# measured, grows as (nmax + 2) * grid_points, at 0.90-0.96 us per unit on a
-# 2-core x86 sandbox from nmax 6 to 250 and grid_points 2,000 to 20,000: a grid
-# costs about as much as a level.  wavefunction's grows as (n + 1) * points:
+# measured, grows as (nmax + 2) * grid_points, on a 2-core x86 sandbox from
+# nmax 6 to 250 and grid_points 2,000 to 20,000: at 0.42-0.57 us per unit
+# where the finer grid is seeded from the coarser one, and 0.82-0.90 us where
+# the seed fails and it is solved in full, as at nmax 250 on 2,000 points: a
+# grid costs about as much as a level.  wavefunction's grows as (n + 1) * points:
 # each sample runs the n steps of the Jacobi recurrence in the interpreter.
 MAX_NMAX = 1000
 MAX_ALPHAS = 100
@@ -213,13 +215,15 @@ class Cell(namedtuple("Cell", "n alpha e_closed e_nu e_oracle nu_dev oracle_dev 
 def certify(p: PtPotential, count: int, n_points: int) -> list[Cell]:
     """Closed form vs template root vs finite-difference oracle per level.
 
-    The oracle solves on N and 2N+1 interior points and Richardson-combines
-    the pair; a cell fails when any deviation leaves its band (NU_BAND for
-    the root, ORACLE_BAND for the oracle), or when the oracle misses the
-    closed form by more than ORACLE_SPACING of the gap to the next level.
+    The oracle solves on N interior points, then on 2N+1 from the N-point
+    levels (`levels_near`, which gives the full solve's levels to a few ulp
+    or falls back to it), and Richardson-combines the pair; a cell fails
+    when any deviation leaves its band (NU_BAND for the root, ORACLE_BAND
+    for the oracle), or when the oracle misses the closed form by more than
+    ORACLE_SPACING of the gap to the next level.
     """
     coarse = lowest_eigenvalues(*discretize(p, n_points), count)
-    fine = lowest_eigenvalues(*discretize(p, 2 * n_points + 1), count)
+    fine = levels_near(*discretize(p, 2 * n_points + 1), coarse)
     oracle_levels = [richardson(c, f) / (2.0 * p.m) for c, f in zip(coarse, fine)]
     ladder = [energy_closed_form(p, n) for n in range(count + 1)]
     cells = []

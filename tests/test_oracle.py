@@ -19,7 +19,7 @@ from ptnu import (
     richardson,
 )
 from ptnu.errors import DomainError, NonConvergence, NonFinite
-from ptnu.oracle import ode_residual
+from ptnu.oracle import levels_near, ode_residual
 
 PT_REF = reference_potential(1.2)
 
@@ -104,6 +104,12 @@ def test_lowest_eigenvalues_refuses_a_diagonal_of_the_wrong_shape():
         lowest_eigenvalues(np.ones((2, 75)), -1.0, 3)
 
 
+def test_a_list_diagonal_gives_the_levels_of_the_array():
+    levels = lowest_eigenvalues(np.full(150, 2.0), -1.0, 3)
+    assert lowest_eigenvalues([2.0] * 150, -1.0, 3) == levels
+    assert levels_near([2.0] * 150, -1.0, levels) == levels_near(np.full(150, 2.0), -1.0, levels)
+
+
 # --- eigenvalue extraction ---------------------------------------------------
 
 def test_box_eigenvalues_match_discrete_closed_form():
@@ -177,12 +183,20 @@ def sturm_level(diag: np.ndarray, offdiag: float, n: int, guess: float) -> float
     return lo
 
 
+@pytest.mark.parametrize("seeded", [False, True], ids=["full", "seeded"])
 @pytest.mark.parametrize("n_points", [1000, 2001])
 @pytest.mark.parametrize("alpha", [1.2, 0.8, 0.002])
-def test_levels_match_a_120_bit_sturm_bisection(alpha, n_points):
-    # dstebz run to its smallest tolerance misses these by up to 1,069 ulp
-    op = discretize(reference_potential(alpha), n_points)
-    values = lowest_eigenvalues(*op, 7)
+def test_levels_match_a_120_bit_sturm_bisection(alpha, n_points, seeded):
+    # dstebz run to its smallest tolerance misses these by up to 1,069 ulp.
+    # Seeded from the grid of half as many points: at alpha = 0.002 and 1000
+    # points that grid is pre-asymptotic, and its guesses for levels 3-6
+    # lead inverse iteration to the wrong levels
+    p = reference_potential(alpha)
+    op = discretize(p, n_points)
+    if seeded:
+        values = levels_near(*op, lowest_eigenvalues(*discretize(p, n_points // 2), 7))
+    else:
+        values = lowest_eigenvalues(*op, 7)
     for n in (0, 6):
         reference = sturm_level(*op, n, values[n])
         assert abs(values[n] - reference) <= 32 * math.ulp(reference), n
@@ -261,6 +275,71 @@ def test_a_refined_level_outside_its_bracket_raises(monkeypatch):
         dstebz=dstebz, dgttrf=lapack.dgttrf, dgttrs=lapack.dgttrs))
     with pytest.raises(NonConvergence, match="left the bracket"):
         lowest_eigenvalues(*box_operator(math.pi, 400), 3)
+
+
+# --- levels seeded from a nearby operator -------------------------------------
+
+@pytest.mark.parametrize("n_points", [1000, 2000])
+@pytest.mark.parametrize("alpha", TABLE2_ALPHAS)
+def test_seeded_levels_match_lowest_eigenvalues(alpha, n_points):
+    # every Table-2 cell, seeded from the grid of half as many points
+    p = reference_potential(alpha)
+    op = discretize(p, n_points)
+    expected = lowest_eigenvalues(*op, 7)
+    values = levels_near(*op, lowest_eigenvalues(*discretize(p, n_points // 2), 7))
+    for n, (value, level) in enumerate(zip(values, expected)):
+        assert abs(value - level) <= 8 * math.ulp(level), n
+
+
+def seeds_and_fine_grid(p: PtPotential, n_points: int, count: int):
+    """The levels of the n_points grid and the operator of the 2N+1 grid,
+    the pair `certify` solves."""
+    return lowest_eigenvalues(*discretize(p, n_points), count), discretize(p, 2 * n_points + 1)
+
+
+def test_guesses_that_skip_a_level_give_the_full_solve():
+    # every guess one level high: each refines to a true level, but the
+    # count below the last finds one level more than asked for
+    coarse, op = seeds_and_fine_grid(PT_REF, 1000, 8)
+    assert levels_near(*op, coarse[1:]) == lowest_eigenvalues(*op, 7)
+
+
+def test_a_repeated_guess_gives_the_full_solve():
+    # level 0's guess in level 1's place: two guesses refine to level 0 and
+    # none to level 1, so the count below the last is still 7, and only
+    # the separation test refuses them
+    coarse, op = seeds_and_fine_grid(PT_REF, 1000, 7)
+    assert levels_near(*op, coarse[:1] + coarse[:1] + coarse[2:]) == lowest_eigenvalues(*op, 7)
+
+
+@pytest.mark.parametrize("n_points", [1000, 2000])
+def test_a_pre_asymptotic_seed_falls_back_to_the_full_solve(monkeypatch, n_points):
+    # at this alpha the coarse grid is pre-asymptotic: at 1000 points its
+    # guesses for levels 3-6 lie up to 1.5 gaps from the 2001-point levels;
+    # at 2000 those for levels 5 and 6 lie 0.19 and 0.42 of a gap low, and
+    # neither level converges in 8 solves (level 5 stays 1e-6 of a gap off)
+    coarse, op = seeds_and_fine_grid(PtPotential(50.0, 100.0, 100.0, 0.002), n_points, 7)
+    expected = lowest_eigenvalues(*op, 7)
+    calls = []
+    monkeypatch.setattr(ptnu.oracle, "lowest_eigenvalues",
+                        lambda *args: calls.append(args) or lowest_eigenvalues(*args))
+    assert levels_near(*op, coarse) == expected
+    assert len(calls) == 1
+
+
+def test_a_failing_top_guess_wastes_one_level(monkeypatch):
+    # the refinement runs from the top down, where a coarse grid's guesses
+    # are worst: a top guess halfway between two levels does not converge,
+    # and the fallback's 7 factorizations follow the one it wasted
+    coarse, op = seeds_and_fine_grid(PT_REF, 1000, 7)
+    fine = lowest_eigenvalues(*op, 7)
+    lapack = ptnu.oracle._flapack()
+    factored = []
+    monkeypatch.setattr(ptnu.oracle, "_flapack", lambda: types.SimpleNamespace(
+        dstebz=lapack.dstebz, dgttrs=lapack.dgttrs,
+        dgttrf=lambda *args: factored.append(1) or lapack.dgttrf(*args)))
+    assert levels_near(*op, coarse[:6] + [0.5 * (fine[5] + fine[6])]) == fine
+    assert len(factored) == 1 + 7
 
 
 @pytest.mark.parametrize("finder", [importlib.util, importlib.machinery.PathFinder])
